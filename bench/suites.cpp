@@ -402,8 +402,9 @@ SuiteSpec fig7() {
     }
   }
   // Straddle the small-parcel fast-path threshold: the ping-pong's
-  // whole-parcel frame is payload + 53 B (24 B frame header + 4 B action
-  // id + 8 B promise id + two u32 args + a 9 B inline-vector prefix), and
+  // one-parcel frame is payload + 53 B (16 B frame header + 8 B entry
+  // header + 4 B action id + 8 B promise id + two u32 args + a 9 B
+  // inline-vector prefix), and
   // the fast path takes frames up to the 8192 B eager threshold. These
   // two payloads put the frame at threshold -8 B and +8 B, so the curve
   // shows the step where parcels leave the one-message path — only
@@ -672,7 +673,7 @@ SuiteSpec ablation_aggregation() {
   // ---- adaptive aggregation engine --------------------------------------
   // Three modes per variant, all behind the same blocking admission window
   // (the backpressure signal that activates coalescing): the connection-path
-  // bypass (fpoff), the whole-parcel fast path alone, and the fast path
+  // bypass (fpoff), the one-parcel fast path alone, and the fast path
   // with the adaptive aggregator on top.
   struct Mode {
     const char* label;
@@ -694,7 +695,7 @@ SuiteSpec ablation_aggregation() {
       // NIC message-rate cap (0.3 Mpps, 10 Gbps, 5 µs) — the regime Yan et
       // al. identify for small-parcel AMT traffic, where per-message NIC
       // cost rather than bytes or host CPU bounds the flood. Uncoalesced
-      // modes peg at the cap; batch frames carry many parcels per packet.
+      // modes peg at the cap; batched frames carry many parcels per packet.
       PointSpec p8 = rate_point(config, 8, 100, k8bFloodMsgs, 0.0);
       // 16 KiB flood: over the eager threshold, every parcel must take the
       // rendezvous fallback untouched — aggregation must not tax it. Same
@@ -931,7 +932,7 @@ SuiteSpec ablation_fastpath() {
   s.figure = "small-parcel fast-path ablation";
   s.expectation =
       "with the fast path on, every sub-threshold parcel rides one "
-      "whole-parcel frame instead of header + connection bookkeeping: the "
+      "single-parcel frame instead of header + connection bookkeeping: the "
       "8B flood rate improves across all variants (most on sr, which "
       "otherwise pays receiver-connection acquisition per message) and "
       "single-parcel latency drops; at 4KiB the frame still fits and the "

@@ -7,14 +7,6 @@
 
 namespace amt {
 
-namespace {
-/// Bytes a message adds to a batch frame: its length-table slot plus its
-/// entry body.
-std::size_t entry_cost(const OutMessage& msg) {
-  return sizeof(std::uint32_t) + batch_entry_size(msg);
-}
-}  // namespace
-
 Aggregator::Aggregator(Rank num_ranks, std::size_t max_bytes,
                        common::Nanos age_ns, FlushFn flush)
     : max_bytes_(max_bytes),
@@ -33,7 +25,7 @@ bool Aggregator::enqueue(Rank dst, std::int64_t queue_depth, OutMessage& msg,
       buffer.count.load(std::memory_order_relaxed) == 0) {
     return false;
   }
-  const std::size_t cost = entry_cost(msg);
+  const std::size_t cost = frame_entry_size(msg);
   const common::Nanos now = common::now_ns();
   std::vector<Entry> evicted;   // previous batch the new entry didn't fit in
   std::vector<Entry> complete;  // batch the new entry completed

@@ -1,8 +1,9 @@
 // Adaptive per-destination parcel aggregation (ROADMAP item 3): coalesces
 // sub-threshold parcels bound for the same destination into one multi-parcel
-// batch frame (wire_header.hpp's kBatchMagic frame kind), trading a little
-// latency for a large per-message overhead reduction on small-parcel floods —
-// the "message coalescing" lever of Yan et al.'s follow-up study.
+// frame (wire_header.hpp's small-parcel frame, which the single-parcel fast
+// path sends with count 1), trading a little latency for a large
+// per-message overhead reduction on small-parcel floods — the "message
+// coalescing" lever of Yan et al.'s follow-up study.
 //
 // The engine is load-aware rather than always-on: when the destination's
 // admission window is empty the caller is told to send the parcel immediately
@@ -104,8 +105,8 @@ class Aggregator {
   struct Buffer {
     common::SpinMutex mutex;
     std::vector<Entry> entries;
-    /// Projected wire size of the batch frame holding `entries`
-    /// (header + length table + entry bodies). 0 when empty.
+    /// Projected wire size of the frame holding `entries` (header + entry
+    /// records). 0 when empty.
     std::size_t bytes = 0;
     common::Nanos oldest_ns = 0;
     /// Lock-free emptiness hint so poll/flush_idle skip idle destinations

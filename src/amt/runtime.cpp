@@ -90,30 +90,40 @@ bool Locality::put_parcel(Rank dst, ParcelWriter writer, bool admissible) {
   if (admission_on_ && dst != rank_) {
     DestQueue& queue = *parcel_queues_[dst];
     const auto bound = static_cast<std::int64_t>(admission_.queue_bound);
-    if (admissible) {
-      switch (admission_.policy) {
-        case AdmissionConfig::Policy::kShed:
-        case AdmissionConfig::Policy::kDeadline:
-          if (queue.outstanding.load(std::memory_order_relaxed) >= bound) {
-            admit_shed_.fetch_add(1, std::memory_order_relaxed);
-            ctr_admit_shed_.add();
-            return false;
-          }
-          break;
-        case AdmissionConfig::Policy::kBlock:
-          if (queue.outstanding.load(std::memory_order_relaxed) >= bound) {
-            admit_block_waits_.fetch_add(1, std::memory_order_relaxed);
-            // Runs tasks + parcelport progress while waiting, so send
-            // completions keep draining even when every worker blocks here.
-            scheduler_.wait_until([&queue, bound] {
-              return queue.outstanding.load(std::memory_order_relaxed) <
-                     bound;
-            });
-          }
-          break;
-        case AdmissionConfig::Policy::kNone:
-          break;
+    // Every accepted parcel — admissible or exempt — occupies a queue slot
+    // until its send completes; exempt traffic fills the bound but is never
+    // refused by it. Admissible traffic claims its slot with one CAS, so
+    // concurrent senders can never both pass the bound check on the last
+    // free slot.
+    std::int64_t depth = 0;
+    const auto try_reserve = [&queue, bound, &depth] {
+      std::int64_t cur = queue.outstanding.load(std::memory_order_relaxed);
+      while (cur < bound) {
+        if (queue.outstanding.compare_exchange_weak(
+                cur, cur + 1, std::memory_order_relaxed)) {
+          depth = cur + 1;
+          return true;
+        }
       }
+      return false;
+    };
+    const bool bounded =
+        admissible && admission_.policy != AdmissionConfig::Policy::kNone;
+    if (!bounded) {
+      depth = queue.outstanding.fetch_add(1, std::memory_order_relaxed) + 1;
+    } else if (admission_.policy == AdmissionConfig::Policy::kBlock) {
+      if (!try_reserve()) {
+        admit_block_waits_.fetch_add(1, std::memory_order_relaxed);
+        // Runs tasks + parcelport progress while waiting, so send
+        // completions keep draining even when every worker blocks here.
+        scheduler_.wait_until(try_reserve);
+      }
+    } else if (!try_reserve()) {  // shed / deadline
+      admit_shed_.fetch_add(1, std::memory_order_relaxed);
+      ctr_admit_shed_.add();
+      return false;
+    }
+    if (admissible) {
       if (admission_.policy == AdmissionConfig::Policy::kDeadline) {
         parcel_deadline =
             common::now_ns() +
@@ -122,11 +132,6 @@ bool Locality::put_parcel(Rank dst, ParcelWriter writer, bool admissible) {
       admit_accepted_.fetch_add(1, std::memory_order_relaxed);
       ctr_admit_accepted_.add();
     }
-    // Every accepted parcel — admissible or exempt — occupies a queue slot
-    // until its send completes; exempt traffic fills the bound but is never
-    // refused by it.
-    const std::int64_t depth =
-        queue.outstanding.fetch_add(1, std::memory_order_relaxed) + 1;
     gauge_parcel_queue_depth_.add();
     std::int64_t peak = admit_peak_depth_.load(std::memory_order_relaxed);
     while (depth > peak && !admit_peak_depth_.compare_exchange_weak(

@@ -6,6 +6,10 @@
 // non-zero-copy chunks when they fit under the maximum header size (set to
 // the zero-copy serialization threshold; 512 bytes fixed in the "original"
 // MPI parcelport variant).
+//
+// Also the LCI parcelport's one small-parcel frame kind (BatchHeader below):
+// the fast path sends a frame of one parcel, adaptive aggregation a frame of
+// many. Both decoders verify a CRC-32 and bound every peer-supplied size.
 #pragma once
 
 #include <cassert>
@@ -180,166 +184,23 @@ inline void encode_header(const OutMessage& msg, const HeaderPlan& plan,
 }
 
 // ---------------------------------------------------------------------------
-// Whole-parcel frame (the small-parcel fast path, modeled on hpx5's
-// put-with-completion): when an entire HPX message fits under the eager
-// threshold, the sender packs header + transmission-chunk sizes + every
-// chunk payload into ONE self-contained frame and the receiver dispatches it
-// straight from a handler completion — no follow-up tags, no
-// ReceiverConnection. Same integrity story as the header message: CRC-32
-// over the whole frame plus the per-channel sequence number for duplicate
-// detection under fault injection.
-// ---------------------------------------------------------------------------
-
-inline constexpr std::uint32_t kWholeParcelMagic = 0xFA57CA11u;
-
-struct WholeParcelHeader {
-  std::uint32_t magic = kWholeParcelMagic;  // frame-kind guard
-  std::uint32_t num_zchunks = 0;
-  std::uint64_t main_size = 0;
-  /// Same per-destination-channel generation counter as WireHeader::seq
-  /// (fast-path, batch, and header frames share one sequence space per
-  /// channel).
-  std::uint32_t seq = 0;
-  /// CRC-32 over the entire encoded frame (this field as zero).
-  std::uint32_t crc = 0;
-};
-static_assert(sizeof(WholeParcelHeader) == 24);
-
-/// Frame layout: [header][zchunk sizes: u64 x num_zchunks][main][z0][z1]...
-inline std::size_t whole_parcel_frame_size(const OutMessage& msg) {
-  std::size_t size = sizeof(WholeParcelHeader) +
-                     msg.zchunks.size() * sizeof(std::uint64_t) +
-                     msg.main_chunk.size();
-  for (const ZChunk& chunk : msg.zchunks) size += chunk.size;
-  return size;
-}
-
-/// Serializes the whole message into `out` (capacity must be >=
-/// whole_parcel_frame_size). Returns the bytes written. Allocation-free:
-/// the LCI parcelport encodes directly into a pool packet.
-inline std::size_t encode_whole_parcel_to(const OutMessage& msg,
-                                          std::uint32_t seq, std::byte* out,
-                                          std::size_t capacity) {
-  WholeParcelHeader header;
-  header.num_zchunks = static_cast<std::uint32_t>(msg.zchunks.size());
-  header.main_size = msg.main_chunk.size();
-  header.seq = seq;
-  header.crc = 0;
-
-  const std::size_t total = whole_parcel_frame_size(msg);
-  assert(total <= capacity);
-  (void)capacity;
-  std::memcpy(out, &header, sizeof(header));
-  std::size_t offset = sizeof(header);
-  for (const ZChunk& chunk : msg.zchunks) {
-    const std::uint64_t size = chunk.size;
-    std::memcpy(out + offset, &size, sizeof(size));
-    offset += sizeof(size);
-  }
-  std::memcpy(out + offset, msg.main_chunk.data(), msg.main_chunk.size());
-  offset += msg.main_chunk.size();
-  for (const ZChunk& chunk : msg.zchunks) {
-    std::memcpy(out + offset, chunk.data, chunk.size);
-    offset += chunk.size;
-  }
-  const std::uint32_t crc = common::crc32(out, total);
-  std::memcpy(out + offsetof(WholeParcelHeader, crc), &crc, sizeof(crc));
-  return total;
-}
-
-/// Verified view into a whole-parcel frame: field values plus the byte
-/// offset of the main chunk. The payload stays in the caller's buffer so
-/// the dedup check can run before anything is copied.
-struct WholeParcelView {
-  WholeParcelHeader fields;
-  std::size_t main_offset = 0;
-  std::vector<std::uint64_t> zsizes;
-};
-
-/// Decodes and *verifies* a whole-parcel frame: magic, CRC over the full
-/// frame, and an exact size match (header + sizes + every payload byte must
-/// account for the buffer, nothing more, nothing less). Corruption that got
-/// past the transport fail-fasts here, like decode_header.
-inline WholeParcelView decode_whole_parcel(const std::byte* data,
-                                           std::size_t size) {
-  WholeParcelView view;
-  if (size < sizeof(WholeParcelHeader)) {
-    common::integrity_fail("whole-parcel frame truncated: ", size,
-                           " bytes < ", sizeof(WholeParcelHeader));
-  }
-  std::memcpy(&view.fields, data, sizeof(WholeParcelHeader));
-  if (view.fields.magic != kWholeParcelMagic) {
-    common::integrity_fail("whole-parcel frame bad magic: ",
-                           view.fields.magic, " size=", size);
-  }
-  const std::uint32_t zero = 0;
-  std::uint32_t crc = common::crc32(data, offsetof(WholeParcelHeader, crc));
-  crc = common::crc32(&zero, sizeof(zero), crc);
-  crc = common::crc32(data + sizeof(WholeParcelHeader),
-                      size - sizeof(WholeParcelHeader), crc);
-  if (crc != view.fields.crc) {
-    common::integrity_fail(
-        "whole-parcel frame CRC mismatch: stored=", view.fields.crc,
-        " computed=", crc, " size=", size, " seq=", view.fields.seq,
-        " num_zchunks=", view.fields.num_zchunks,
-        " main_size=", view.fields.main_size);
-  }
-  const std::size_t tchunk_size =
-      static_cast<std::size_t>(view.fields.num_zchunks) *
-      sizeof(std::uint64_t);
-  if (sizeof(WholeParcelHeader) + tchunk_size > size) {
-    common::integrity_fail("whole-parcel tchunk overruns frame: ",
-                           tchunk_size, " bytes of ", size);
-  }
-  view.zsizes = parse_tchunk(data + sizeof(WholeParcelHeader), tchunk_size);
-  view.main_offset = sizeof(WholeParcelHeader) + tchunk_size;
-  std::size_t expected = view.main_offset + view.fields.main_size;
-  for (const std::uint64_t zsize : view.zsizes) expected += zsize;
-  if (expected != size) {
-    common::integrity_fail("whole-parcel frame size mismatch: declared ",
-                           expected, " bytes, got ", size);
-  }
-  return view;
-}
-
-/// Moves the payloads out of a decoded frame into an InMessage. The zchunk
-/// payloads (rare on this path; most fast-path parcels have none) are
-/// copied out first, then the frame vector itself is trimmed in place and
-/// becomes the main chunk — the arrival allocation is reused, so the
-/// dominant small-parcel case decodes without copying the payload again.
-inline InMessage take_whole_parcel_body(std::vector<std::byte>&& frame,
-                                        const WholeParcelView& view,
-                                        Rank source) {
-  InMessage in;
-  in.source = source;
-  std::size_t offset = view.main_offset + view.fields.main_size;
-  in.zchunks.reserve(view.zsizes.size());
-  for (const std::uint64_t zsize : view.zsizes) {
-    in.zchunks.emplace_back(frame.begin() + offset,
-                            frame.begin() + offset + zsize);
-    offset += zsize;
-  }
-  frame.erase(frame.begin(),
-              frame.begin() + static_cast<std::ptrdiff_t>(view.main_offset));
-  frame.resize(view.fields.main_size);
-  in.main_chunk = std::move(frame);
-  return in;
-}
-
-// ---------------------------------------------------------------------------
-// Multi-parcel batch frame (adaptive aggregation): generalizes the
-// whole-parcel frame to N sub-threshold parcels coalesced for one
-// destination. One frame = one injection, one CRC-32, one per-channel seq —
-// the per-message wire overhead the aggregation ablation argues over. A
-// count-prefixed length table lets the receiver slice the frame into entries
-// without touching the payload bytes; each entry is a self-contained
-// [num_zchunks][main_size][zsizes][main][zchunks] record.
+// Small-parcel frame (the fast path and adaptive aggregation, modeled on
+// hpx5's put-with-completion): one or more sub-threshold parcels for one
+// destination packed into ONE self-contained message on the reserved
+// fast-path tag. The receiver dispatches it straight from a handler
+// completion — no follow-up tags, no ReceiverConnection. A single-parcel
+// fast-path send is simply a frame with count == 1. One frame = one
+// injection, one CRC-32, one per-channel seq.
+//
+// Layout: [BatchHeader][entry 0]...[entry count-1], where each entry is
+//   [u32 num_zchunks][u32 main_size][u64 zsize x num_zchunks][main][z0]...
+// Entries describe their own size, so the receiver walks them in place.
 // ---------------------------------------------------------------------------
 
 inline constexpr std::uint32_t kBatchMagic = 0xA66B47C4u;
 
 struct BatchHeader {
-  std::uint32_t magic = kBatchMagic;  // frame-kind guard
+  std::uint32_t magic = kBatchMagic;  // guards against foreign messages
   std::uint32_t count = 0;            // parcels in this frame (>= 1)
   /// Same per-destination-channel generation counter as WireHeader::seq —
   /// one seq per frame, not per sub-parcel.
@@ -349,19 +210,20 @@ struct BatchHeader {
 };
 static_assert(sizeof(BatchHeader) == 16);
 
-/// Per-entry fixed overhead: u32 num_zchunks + u64 main_size.
+/// Per-entry fixed overhead: u32 num_zchunks + u32 main_size. A frame is at
+/// most one medium message, so u32 sizes always suffice.
 inline constexpr std::size_t kBatchEntryHeaderBytes =
-    sizeof(std::uint32_t) + sizeof(std::uint64_t);
+    2 * sizeof(std::uint32_t);
 
-/// Smallest possible batch frame: header + one length-table slot + one
-/// empty entry. `agg<BYTES>` thresholds below this are rejected at config
-/// parse — they could never fit even a zero-payload parcel.
+/// Smallest possible frame: header + one empty entry (24 B, the envelope of
+/// every single-parcel frame). `agg<BYTES>` thresholds below this are
+/// rejected at config parse — they could never fit even a zero-payload
+/// parcel.
 inline constexpr std::size_t kMinAggFrameBytes =
-    sizeof(BatchHeader) + sizeof(std::uint32_t) + kBatchEntryHeaderBytes;
+    sizeof(BatchHeader) + kBatchEntryHeaderBytes;
 
-/// Encoded size of one entry record inside a batch frame (excludes its
-/// length-table slot).
-inline std::size_t batch_entry_size(const OutMessage& msg) {
+/// Encoded size of one entry record inside a frame.
+inline std::size_t frame_entry_size(const OutMessage& msg) {
   std::size_t size = kBatchEntryHeaderBytes +
                      msg.zchunks.size() * sizeof(std::uint64_t) +
                      msg.main_chunk.size();
@@ -369,18 +231,17 @@ inline std::size_t batch_entry_size(const OutMessage& msg) {
   return size;
 }
 
-/// Frame layout: [BatchHeader][u32 length x count][entry 0]...[entry n-1].
-inline std::size_t batch_frame_size(const OutMessage* const* msgs,
-                                    std::size_t count) {
-  std::size_t size = sizeof(BatchHeader) + count * sizeof(std::uint32_t);
-  for (std::size_t i = 0; i < count; ++i) size += batch_entry_size(*msgs[i]);
+inline std::size_t frame_size(const OutMessage* const* msgs,
+                              std::size_t count) {
+  std::size_t size = sizeof(BatchHeader);
+  for (std::size_t i = 0; i < count; ++i) size += frame_entry_size(*msgs[i]);
   return size;
 }
 
-/// Serializes `count` messages into one batch frame at `out` (capacity must
-/// be >= batch_frame_size). Returns the bytes written. Allocation-free: the
-/// LCI parcelport encodes straight into a pool packet at flush time.
-inline std::size_t encode_batch_to(const OutMessage* const* msgs,
+/// Serializes `count` messages into one frame at `out` (capacity must be >=
+/// frame_size). Returns the bytes written. Allocation-free: the LCI
+/// parcelport encodes straight into a pool packet.
+inline std::size_t encode_frame_to(const OutMessage* const* msgs,
                                    std::size_t count, std::uint32_t seq,
                                    std::byte* out, std::size_t capacity) {
   assert(count >= 1);
@@ -389,32 +250,26 @@ inline std::size_t encode_batch_to(const OutMessage* const* msgs,
   header.seq = seq;
   header.crc = 0;
 
-  const std::size_t total = batch_frame_size(msgs, count);
-  assert(total <= capacity);
+  const std::size_t total = frame_size(msgs, count);
+  assert(total <= capacity && total <= UINT32_MAX);
   (void)capacity;
   std::memcpy(out, &header, sizeof(header));
   std::size_t offset = sizeof(header);
   for (std::size_t i = 0; i < count; ++i) {
-    const std::uint32_t len =
-        static_cast<std::uint32_t>(batch_entry_size(*msgs[i]));
-    std::memcpy(out + offset, &len, sizeof(len));
-    offset += sizeof(len);
-  }
-  for (std::size_t i = 0; i < count; ++i) {
     const OutMessage& msg = *msgs[i];
-    const std::uint32_t num_zchunks =
-        static_cast<std::uint32_t>(msg.zchunks.size());
-    const std::uint64_t main_size = msg.main_chunk.size();
-    std::memcpy(out + offset, &num_zchunks, sizeof(num_zchunks));
-    offset += sizeof(num_zchunks);
-    std::memcpy(out + offset, &main_size, sizeof(main_size));
-    offset += sizeof(main_size);
+    const std::uint32_t sizes[2] = {
+        static_cast<std::uint32_t>(msg.zchunks.size()),
+        static_cast<std::uint32_t>(msg.main_chunk.size())};
+    std::memcpy(out + offset, sizes, sizeof(sizes));
+    offset += sizeof(sizes);
     for (const ZChunk& chunk : msg.zchunks) {
       const std::uint64_t size = chunk.size;
       std::memcpy(out + offset, &size, sizeof(size));
       offset += sizeof(size);
     }
-    std::memcpy(out + offset, msg.main_chunk.data(), msg.main_chunk.size());
+    if (!msg.main_chunk.empty()) {  // an empty vector's data() may be null
+      std::memcpy(out + offset, msg.main_chunk.data(), msg.main_chunk.size());
+    }
     offset += msg.main_chunk.size();
     for (const ZChunk& chunk : msg.zchunks) {
       std::memcpy(out + offset, chunk.data, chunk.size);
@@ -427,28 +282,77 @@ inline std::size_t encode_batch_to(const OutMessage* const* msgs,
   return total;
 }
 
-/// Verified view into a batch frame: header fields plus the byte offset and
-/// length of every entry record. The payload stays in the caller's buffer so
-/// the (single) dedup check runs before anything is copied.
-struct BatchView {
-  BatchHeader fields;
-  std::vector<std::size_t> offsets;  // entry i starts at offsets[i]
-  std::vector<std::uint32_t> lengths;
+namespace detail {
+
+/// Byte offsets of one entry record inside a frame.
+struct FrameEntry {
+  std::uint32_t num_zchunks = 0;
+  std::uint32_t main_size = 0;
+  std::size_t zsizes = 0;  // start of the u64 zchunk size table
+  std::size_t main = 0;    // start of the main chunk
+  std::size_t end = 0;     // one past the entry's last payload byte
 };
 
-/// Decodes and *verifies* a batch frame: magic, CRC over the full frame, a
-/// non-zero count whose length table fits, and an exact size match (header +
-/// table + every declared entry byte must account for the buffer). Anything
-/// inconsistent fail-fasts like the other frame kinds.
-inline BatchView decode_batch(const std::byte* data, std::size_t size) {
-  BatchView view;
+/// Reads the entry at `offset` and checks every size it declares against
+/// the bytes left in the frame. Each bound is written `n > size - offset`
+/// (offset <= size holds throughout), never as a sum of peer-supplied
+/// sizes, so a wrapping size cannot slip past.
+inline FrameEntry read_frame_entry(const std::byte* data, std::size_t size,
+                                   std::size_t offset, std::uint32_t index) {
+  FrameEntry entry;
+  if (kBatchEntryHeaderBytes > size - offset) {
+    common::integrity_fail("batch entry ", index, " header overruns frame at ",
+                           offset, " of ", size);
+  }
+  std::memcpy(&entry.num_zchunks, data + offset, sizeof(std::uint32_t));
+  std::memcpy(&entry.main_size, data + offset + sizeof(std::uint32_t),
+              sizeof(std::uint32_t));
+  offset += kBatchEntryHeaderBytes;
+  entry.zsizes = offset;
+  if (entry.num_zchunks > (size - offset) / sizeof(std::uint64_t)) {
+    common::integrity_fail("batch entry ", index, " zchunk table (",
+                           entry.num_zchunks, " sizes) overruns frame at ",
+                           offset, " of ", size);
+  }
+  offset += entry.num_zchunks * sizeof(std::uint64_t);
+  entry.main = offset;
+  if (entry.main_size > size - offset) {
+    common::integrity_fail("batch entry ", index, " main chunk (",
+                           entry.main_size, " bytes) overruns frame at ",
+                           offset, " of ", size);
+  }
+  offset += entry.main_size;
+  for (std::uint32_t k = 0; k < entry.num_zchunks; ++k) {
+    std::uint64_t zsize = 0;
+    std::memcpy(&zsize, data + entry.zsizes + k * sizeof(zsize),
+                sizeof(zsize));
+    if (zsize > size - offset) {
+      common::integrity_fail("batch entry ", index, " zchunk ", k, " (",
+                             zsize, " bytes) overruns frame at ", offset,
+                             " of ", size);
+    }
+    offset += static_cast<std::size_t>(zsize);
+  }
+  entry.end = offset;
+  return entry;
+}
+
+}  // namespace detail
+
+/// Decodes and *verifies* a frame in place, allocating nothing: magic, CRC
+/// over the full frame, a count the frame can hold, every entry's sizes in
+/// bounds, and an exact size match (the entries must account for every
+/// byte). Corruption that got past the transport fail-fasts here, like
+/// decode_header. Returns the header; take_frame_entries then delivers.
+inline BatchHeader decode_frame(const std::byte* data, std::size_t size) {
+  BatchHeader header;
   if (size < sizeof(BatchHeader)) {
     common::integrity_fail("batch frame truncated: ", size, " bytes < ",
                            sizeof(BatchHeader));
   }
-  std::memcpy(&view.fields, data, sizeof(BatchHeader));
-  if (view.fields.magic != kBatchMagic) {
-    common::integrity_fail("batch frame bad magic: ", view.fields.magic,
+  std::memcpy(&header, data, sizeof(BatchHeader));
+  if (header.magic != kBatchMagic) {
+    common::integrity_fail("batch frame bad magic: ", header.magic,
                            " size=", size);
   }
   const std::uint32_t zero = 0;
@@ -456,87 +360,62 @@ inline BatchView decode_batch(const std::byte* data, std::size_t size) {
   crc = common::crc32(&zero, sizeof(zero), crc);
   crc = common::crc32(data + sizeof(BatchHeader), size - sizeof(BatchHeader),
                       crc);
-  if (crc != view.fields.crc) {
-    common::integrity_fail("batch frame CRC mismatch: stored=",
-                           view.fields.crc, " computed=", crc, " size=", size,
-                           " seq=", view.fields.seq,
-                           " count=", view.fields.count);
+  if (crc != header.crc) {
+    common::integrity_fail("batch frame CRC mismatch: stored=", header.crc,
+                           " computed=", crc, " size=", size,
+                           " seq=", header.seq, " count=", header.count);
   }
-  const std::size_t count = view.fields.count;
-  const std::size_t table_end =
-      sizeof(BatchHeader) + count * sizeof(std::uint32_t);
-  if (count == 0 || table_end > size) {
-    common::integrity_fail("batch frame bad count: ", count, " entries in ",
-                           size, " bytes");
+  if (header.count == 0 ||
+      header.count >
+          (size - sizeof(BatchHeader)) / kBatchEntryHeaderBytes) {
+    common::integrity_fail("batch frame bad count: ", header.count,
+                           " entries in ", size, " bytes");
   }
-  view.lengths.resize(count);
-  std::memcpy(view.lengths.data(), data + sizeof(BatchHeader),
-              count * sizeof(std::uint32_t));
-  view.offsets.resize(count);
-  std::size_t offset = table_end;
-  for (std::size_t i = 0; i < count; ++i) {
-    view.offsets[i] = offset;
-    if (view.lengths[i] < kBatchEntryHeaderBytes ||
-        view.lengths[i] > size - offset) {
-      common::integrity_fail("batch entry ", i, " overruns frame: length ",
-                             view.lengths[i], " at ", offset, " of ", size);
-    }
-    offset += view.lengths[i];
+  std::size_t offset = sizeof(BatchHeader);
+  for (std::uint32_t i = 0; i < header.count; ++i) {
+    offset = detail::read_frame_entry(data, size, offset, i).end;
   }
   if (offset != size) {
     common::integrity_fail("batch frame size mismatch: declared ", offset,
                            " bytes, got ", size);
   }
-  return view;
+  return header;
 }
 
-/// Copies one entry record out of a decoded batch frame into an InMessage.
-/// Entries share the arrival buffer, so unlike take_whole_parcel_body the
-/// payloads are copied — the batched regime trades that copy for one
-/// injection per frame.
-inline InMessage take_batch_entry(const std::byte* entry, std::size_t length,
-                                  Rank source) {
-  std::uint32_t num_zchunks = 0;
-  std::uint64_t main_size = 0;
-  std::memcpy(&num_zchunks, entry, sizeof(num_zchunks));
-  std::memcpy(&main_size, entry + sizeof(num_zchunks), sizeof(main_size));
-  std::size_t offset = kBatchEntryHeaderBytes;
-  const std::size_t tchunk_size =
-      static_cast<std::size_t>(num_zchunks) * sizeof(std::uint64_t);
-  if (offset + tchunk_size > length) {
-    common::integrity_fail("batch entry tchunk overruns entry: ", tchunk_size,
-                           " bytes at ", offset, " of ", length);
+/// Hands every entry of a frame verified by decode_frame to `deliver` as an
+/// InMessage, in order. Earlier entries are copied out of the shared
+/// arrival buffer; the last one takes the buffer over, trimmed in place to
+/// its main chunk — so the dominant one-parcel frame decodes without a
+/// second copy of its payload.
+template <typename Deliver>
+void take_frame_entries(std::vector<std::byte>&& frame, std::uint32_t count,
+                        Rank source, Deliver&& deliver) {
+  std::size_t offset = sizeof(BatchHeader);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const detail::FrameEntry entry =
+        detail::read_frame_entry(frame.data(), frame.size(), offset, i);
+    InMessage in;
+    in.source = source;
+    in.zchunks.reserve(entry.num_zchunks);
+    std::size_t z = entry.main + entry.main_size;
+    for (std::uint32_t k = 0; k < entry.num_zchunks; ++k) {
+      std::uint64_t zsize = 0;
+      std::memcpy(&zsize, frame.data() + entry.zsizes + k * sizeof(zsize),
+                  sizeof(zsize));
+      in.zchunks.emplace_back(frame.begin() + z, frame.begin() + z + zsize);
+      z += zsize;
+    }
+    const auto main = frame.begin() + entry.main;
+    if (i + 1 == count) {
+      frame.erase(frame.begin(), main);
+      frame.resize(entry.main_size);
+      in.main_chunk = std::move(frame);
+    } else {
+      in.main_chunk.assign(main, main + entry.main_size);
+    }
+    deliver(std::move(in));
+    offset = entry.end;
   }
-  const auto zsizes = parse_tchunk(entry + offset, tchunk_size);
-  offset += tchunk_size;
-  std::size_t expected = offset + main_size;
-  for (const std::uint64_t zsize : zsizes) expected += zsize;
-  if (expected != length) {
-    common::integrity_fail("batch entry size mismatch: declared ", expected,
-                           " bytes, got ", length);
-  }
-  InMessage in;
-  in.source = source;
-  in.main_chunk.assign(entry + offset, entry + offset + main_size);
-  offset += main_size;
-  in.zchunks.reserve(zsizes.size());
-  for (const std::uint64_t zsize : zsizes) {
-    in.zchunks.emplace_back(entry + offset, entry + offset + zsize);
-    offset += zsize;
-  }
-  return in;
-}
-
-/// Leading u32 of a frame riding the fast-path tag: distinguishes
-/// whole-parcel frames from batch frames before full decode.
-inline std::uint32_t peek_frame_magic(const std::byte* data,
-                                      std::size_t size) {
-  if (size < sizeof(std::uint32_t)) {
-    common::integrity_fail("frame too short for magic: ", size, " bytes");
-  }
-  std::uint32_t magic = 0;
-  std::memcpy(&magic, data, sizeof(magic));
-  return magic;
 }
 
 /// Decoded header view (piggybacked chunks are copied out).
@@ -572,12 +451,14 @@ inline DecodedHeader decode_header(const std::byte* data, std::size_t size) {
         " num_zchunks=", decoded.fields.num_zchunks,
         " main_size=", decoded.fields.main_size);
   }
+  // Bounds are written `n > size - offset` (offset <= size throughout) so a
+  // wrapping peer-supplied size cannot pass.
   std::size_t offset = sizeof(WireHeader);
   if (decoded.fields.piggy_tchunk) {
     const std::size_t tchunk_size =
         static_cast<std::size_t>(decoded.fields.num_zchunks) *
         sizeof(std::uint64_t);
-    if (offset + tchunk_size > size) {
+    if (tchunk_size > size - offset) {
       common::integrity_fail("wire header tchunk overruns message: ",
                              tchunk_size, " bytes at ", offset, " of ", size);
     }
@@ -585,7 +466,7 @@ inline DecodedHeader decode_header(const std::byte* data, std::size_t size) {
     offset += tchunk_size;
   }
   if (decoded.fields.piggy_main) {
-    if (offset + decoded.fields.main_size > size) {
+    if (decoded.fields.main_size > size - offset) {
       common::integrity_fail("wire header main chunk overruns message: ",
                              decoded.fields.main_size, " bytes at ", offset,
                              " of ", size);

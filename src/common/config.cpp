@@ -130,8 +130,8 @@ const std::vector<Knob>& knob_registry() {
        "ablation_progress"},
       {Kind::kEnv, "AMTNET_LCI_FASTPATH", "1 (on)",
        "small-parcel fast path: 0/off disables, 1/on caps at the eager "
-       "threshold, N >= 2 caps whole-parcel frames at N bytes; only read "
-       "when the config name carries no fp token",
+       "threshold, N >= 2 caps one-parcel frames (24 B envelope + payload) "
+       "at N bytes; only read when the config name carries no fp token",
        "ablation_fastpath"},
       {Kind::kEnv, "AMTNET_LCI_AGG", "0 (off)",
        "adaptive aggregation: batch-frame byte cap for per-destination "
@@ -322,7 +322,8 @@ const std::vector<Knob>& knob_registry() {
        "compile every telemetry primitive to an inline no-op",
        "bench_overhead_probe"},
       {Kind::kCMake, "AMTNET_SANITIZE", "off",
-       "thread|address sanitizer build", "CI tsan job"},
+       "thread|address sanitizer build (address = ASan+UBSan)",
+       "CI tsan and asan jobs"},
   };
   return knobs;
 }

@@ -215,12 +215,11 @@ LciParcelport::LciParcelport(const amt::ParcelportContext& context)
   comp_cq_.attach_depth_gauge(
       &registry.gauge(pp_metric(context.rank, "comp_cq_depth")));
   if (fastpath_cap_ > 0 || agg_cap_ > 0) {
-    // Whole-parcel and batch frames arrive on the reserved tag and dispatch
-    // straight from progress context — armed before any progress thread
-    // exists. The two frame kinds are told apart by their leading magic.
+    // Frames arrive on the reserved tag and dispatch straight from progress
+    // context — armed before any progress thread exists.
     device_.register_tag_handler(
         minilci::kFastpathTag,
-        minilci::Comp::handler(&LciParcelport::fastpath_handler, this));
+        minilci::Comp::handler(&LciParcelport::frame_handler, this));
   }
   if (agg_cap_ > 0) {
     aggregator_ = std::make_unique<amt::Aggregator>(
@@ -333,7 +332,7 @@ std::uint32_t LciParcelport::alloc_tags(std::size_t count) {
   // start at — or wrap through — the reserved header tag 0, or follow-up
   // traffic would collide with sr-protocol headers; nor may it reach the
   // reserved fast-path tag 0xFFFFFFFF (the last value before the wrap), or
-  // a follow-up piece would fire the whole-parcel handler. Receivers route
+  // a follow-up piece would fire the frame handler. Receivers route
   // pieces with u32 subtraction (entry.tag - tag_base), which stays correct
   // across the wrap as long as the range itself is contiguous mod 2^32,
   // which the restart below guarantees.
@@ -358,8 +357,13 @@ std::uint32_t LciParcelport::alloc_tags(std::size_t count) {
 void LciParcelport::send_backoff(unsigned& round) {
   // Bounded exponential backoff: spin-wait 2^round pauses (capped), then
   // start yielding to the OS. Keeps retry storms off the NIC and the free
-  // list while staying responsive when the resource frees up quickly.
+  // list while staying responsive when the resource frees up quickly. In
+  // mt mode the caller may be the only thread able to make progress, so it
+  // polls the device first.
   constexpr unsigned kCapShift = 10;
+  if (progress_type_ == amt::ParcelportConfig::ProgressType::kWorker) {
+    try_progress();
+  }
   ctr_send_retries_.add();
   const unsigned shift = std::min(round, kCapShift);
   for (unsigned i = 0; i < (1u << shift); ++i) {
@@ -367,6 +371,34 @@ void LciParcelport::send_backoff(unsigned& round) {
   }
   if (shift == kCapShift) std::this_thread::yield();
   ++round;
+}
+
+bool LciParcelport::inject_packet(amt::Rank dst, minilci::Tag tag,
+                                  EncodeFn encode, unsigned alloc_rounds,
+                                  const minilci::Comp& comp,
+                                  std::uint64_t ctx) {
+  // Assemble the message directly in an LCI packet buffer (saves a copy on
+  // the eager path — paper §3.2.1), then inject it, retrying with bounded
+  // backoff on transient resource exhaustion per LCI's explicit-retry
+  // contract.
+  std::optional<minilci::PacketBuffer> packet;
+  unsigned round = 0;
+  while (!(packet = device_.try_alloc_packet())) {
+    send_backoff(round);
+    if (round == alloc_rounds) return false;
+  }
+  const std::uint32_t seq =
+      header_seq_tx_[dst].value.fetch_add(1, std::memory_order_relaxed);
+  packet->set_size(encode(seq, packet->data(), packet->capacity()));
+  round = 0;
+  for (;;) {
+    const common::Status status =
+        protocol_ == amt::ParcelportConfig::Protocol::kPutSendRecv
+            ? device_.put_dyn_packet(dst, tag, *packet, comp, ctx)
+            : device_.sendm_packet(dst, tag, *packet, comp, ctx);
+    if (status == common::Status::kOk) return true;
+    send_backoff(round);
+  }
 }
 
 void LciParcelport::send(amt::Rank dst, amt::OutMessage msg,
@@ -383,72 +415,41 @@ void LciParcelport::send(amt::Rank dst, amt::OutMessage msg,
       inner();
     };
   }
+  const amt::OutMessage* const single = &msg;
+  const std::size_t frame_bytes = amt::frame_size(&single, 1);
   // Adaptive aggregation: a batchable parcel bound for a backpressured
   // destination joins the per-destination coalescing buffer instead of
   // injecting its own frame; the aggregator's flush callback (flush_batch)
   // fires `done` later. An idle destination falls through to the
   // single-parcel fast path unbuffered — the load-aware switch.
-  if (aggregator_) {
-    const std::size_t one_entry_frame = sizeof(amt::BatchHeader) +
-                                        sizeof(std::uint32_t) +
-                                        amt::batch_entry_size(msg);
-    if (one_entry_frame <= agg_cap_) {
-      const std::int64_t depth =
-          context_.queue_depth ? context_.queue_depth(dst) : 0;
-      if (aggregator_->enqueue(dst, depth, msg, done)) return;
-    }
+  if (aggregator_ && frame_bytes <= agg_cap_) {
+    const std::int64_t depth =
+        context_.queue_depth ? context_.queue_depth(dst) : 0;
+    if (aggregator_->enqueue(dst, depth, msg, done)) return;
   }
 
   // Small-parcel fast path (put-with-completion): the whole message travels
-  // as one self-contained frame on the reserved tag and is dispatched by
-  // the destination's handler completion — no connection, no follow-up
-  // tags, no completion-queue round trip. Local completion of *_packet is
-  // synchronous on kOk, so `done` can fire inline with Comp::none().
+  // as a frame of one on the reserved tag and is dispatched by the
+  // destination's handler completion — no connection, no follow-up tags, no
+  // completion-queue round trip. Local completion of *_packet is
+  // synchronous on kOk, so `done` can fire inline with Comp::none(). The
+  // packet-pool wait is bounded: sustained exhaustion (every in-flight
+  // frame holding a packet) must NOT spin forever — the connection path
+  // below has its own buffers and its completion chain frees packets. The
+  // hand-off keeps `done` intact, so admission credits are conserved.
   if (fastpath_cap_ > 0) {
-    if (const std::size_t frame_size = amt::whole_parcel_frame_size(msg);
-        frame_size <= fastpath_cap_) {
-      // Bounded packet-pool wait: sustained exhaustion (every in-flight
-      // frame holding a packet) must NOT spin forever — the connection path
-      // below has its own buffers and its completion chain frees packets.
-      // The hand-off keeps `done` intact, so admission credits are
-      // conserved, and is counted exactly once (below) like any other
-      // fallback.
-      std::optional<minilci::PacketBuffer> packet;
-      unsigned backoff_round = 0;
-      constexpr unsigned kFastpathAllocRounds = 8;
-      for (unsigned attempt = 0; attempt < kFastpathAllocRounds; ++attempt) {
-        packet = device_.try_alloc_packet();
-        if (packet) break;
-        if (progress_type_ == amt::ParcelportConfig::ProgressType::kWorker) {
-          try_progress();
-        }
-        send_backoff(backoff_round);
-      }
-      if (packet) {
-        const std::uint32_t seq =
-            header_seq_tx_[dst].value.fetch_add(1, std::memory_order_relaxed);
-        packet->set_size(amt::encode_whole_parcel_to(
-            msg, seq, packet->data(), packet->capacity()));
-        backoff_round = 0;
-        for (;;) {
-          const common::Status status =
-              protocol_ == amt::ParcelportConfig::Protocol::kPutSendRecv
-                  ? device_.put_dyn_packet(dst, minilci::kFastpathTag,
-                                           *packet, minilci::Comp::none())
-                  : device_.sendm_packet(dst, minilci::kFastpathTag, *packet,
-                                         minilci::Comp::none());
-          if (status == common::Status::kOk) break;
-          if (progress_type_ ==
-              amt::ParcelportConfig::ProgressType::kWorker) {
-            try_progress();
-          }
-          send_backoff(backoff_round);
-        }
-        ctr_fastpath_hits_.add();
-        gauge_send_queue_depth_.sub();
-        done();
-        return;
-      }
+    constexpr unsigned kFastpathAllocRounds = 8;
+    if (frame_bytes <= fastpath_cap_ &&
+        inject_packet(
+            dst, minilci::kFastpathTag,
+            [&single](std::uint32_t seq, std::byte* out, std::size_t cap) {
+              return amt::encode_frame_to(&single, 1, seq, out, cap);
+            },
+            kFastpathAllocRounds, minilci::Comp::none(), 0)) {
+      ctr_fastpath_hits_.add();
+      gauge_send_queue_depth_.sub();
+      done();
+      return;
     }
     // Exactly one fallback count per parcel that leaves the fast path —
     // whether the frame was over the cap or the packet pool stayed
@@ -477,48 +478,22 @@ void LciParcelport::send(amt::Rank dst, amt::OutMessage msg,
   }
   connection->tag_base =
       connection->pieces.empty() ? 0 : alloc_tags(connection->pieces.size());
+  // The pieces point into buffers the move below keeps in place.
+  connection->msg = std::move(msg);
   // One reference per operation (header + pieces) plus the guard this
   // function holds while it still touches the connection.
   connection->remaining.store(2 + connection->pieces.size(),
                               std::memory_order_relaxed);
 
-  // Assemble the header directly in an LCI packet buffer (saves a copy on
-  // the eager path — paper §3.2.1), then inject it, retrying with bounded
-  // backoff on transient resource exhaustion per LCI's explicit-retry
-  // contract.
-  std::optional<minilci::PacketBuffer> packet;
-  unsigned backoff_round = 0;
-  for (;;) {
-    packet = device_.try_alloc_packet();
-    if (packet) break;
-    if (progress_type_ == amt::ParcelportConfig::ProgressType::kWorker) {
-      try_progress();
-    }
-    send_backoff(backoff_round);
-  }
-  const std::uint32_t header_seq =
-      header_seq_tx_[dst].value.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t header_size =
-      amt::encode_header_to(msg, plan, connection->tag_base, header_seq,
-                            packet->data(), packet->capacity());
-  packet->set_size(header_size);
-  connection->msg = std::move(msg);
-
-  const minilci::Comp comp = make_comp();
-  const auto ctx =
-      reinterpret_cast<std::uint64_t>(static_cast<Connection*>(connection));
-  backoff_round = 0;
-  for (;;) {
-    const common::Status status =
-        protocol_ == amt::ParcelportConfig::Protocol::kPutSendRecv
-            ? device_.put_dyn_packet(dst, 0, *packet, comp, ctx)
-            : device_.sendm_packet(dst, kHeaderTag, *packet, comp, ctx);
-    if (status == common::Status::kOk) break;
-    if (progress_type_ == amt::ParcelportConfig::ProgressType::kWorker) {
-      try_progress();
-    }
-    send_backoff(backoff_round);
-  }
+  inject_packet(
+      dst, kHeaderTag,
+      [connection, &plan](std::uint32_t seq, std::byte* out,
+                          std::size_t cap) {
+        return amt::encode_header_to(connection->msg, plan,
+                                     connection->tag_base, seq, out, cap);
+      },
+      kUnboundedAllocRounds, make_comp(),
+      reinterpret_cast<std::uint64_t>(static_cast<Connection*>(connection)));
 
   // Seed the pipeline: with depth d, the header plus d-1 pieces may be in
   // flight at once (each completion then posts one replacement, so depth 1
@@ -708,18 +683,7 @@ void LciParcelport::ReceiverConnection::reset() {
 void LciParcelport::handle_header(amt::Rank src, const std::byte* data,
                                   std::size_t size) {
   amt::DecodedHeader decoded = amt::decode_header(data, size);
-  {
-    // A duplicated header would double-deliver a parcel: fail fast.
-    HeaderSeqRx& rx = header_seq_rx_[src].value;
-    std::lock_guard<common::SpinMutex> guard(rx.mutex);
-    if (!rx.tracker.accept(decoded.fields.seq)) {
-      common::integrity_fail("pplci: duplicated wire header rank=",
-                             context_.rank, " src=", src,
-                             " seq=", decoded.fields.seq,
-                             " tag=", decoded.fields.tag,
-                             " — a duplicate would double-deliver a parcel");
-    }
-  }
+  check_seq(src, decoded.fields.seq);
 
   ReceiverConnection* connection = acquire_receiver();
   connection->src = src;
@@ -759,69 +723,35 @@ void LciParcelport::handle_header(amt::Rank src, const std::byte* data,
   connection->drop_ref(*this);
 }
 
-void LciParcelport::fastpath_handler(minilci::CqEntry&& entry, void* arg) {
-  auto* port = static_cast<LciParcelport*>(arg);
-  port->handle_fastpath(entry.rank, std::move(entry.data));
+void LciParcelport::check_seq(amt::Rank src, std::uint32_t seq) {
+  // Header messages and frames share one per-channel sequence space, so one
+  // tracker catches a duplicate of either — which would double-deliver a
+  // parcel: fail fast.
+  HeaderSeqRx& rx = header_seq_rx_[src].value;
+  std::lock_guard<common::SpinMutex> guard(rx.mutex);
+  if (!rx.tracker.accept(seq)) {
+    common::integrity_fail("pplci: duplicated message rank=", context_.rank,
+                           " src=", src, " seq=", seq,
+                           " — a duplicate would double-deliver a parcel");
+  }
 }
 
-void LciParcelport::handle_fastpath(amt::Rank src,
-                                    std::vector<std::byte>&& frame) {
-  // Both frame kinds share the reserved tag; the leading magic says which
-  // arrived (anything else fail-fasts in the decoder below).
-  if (amt::peek_frame_magic(frame.data(), frame.size()) == amt::kBatchMagic) {
-    handle_batch(src, std::move(frame));
-    return;
-  }
+void LciParcelport::frame_handler(minilci::CqEntry&& entry, void* arg) {
   // Runs in progress context (the pinned progress thread, or whichever
-  // worker won the progress ticket). decode verifies magic + CRC and
-  // fail-fasts on corruption, exactly like the header path.
-  const amt::WholeParcelView view =
-      amt::decode_whole_parcel(frame.data(), frame.size());
-  {
-    // Fast-path frames share the per-channel sequence space with wire
-    // headers, so the same tracker catches duplicates of either kind — a
-    // duplicated frame would double-dispatch a parcel.
-    HeaderSeqRx& rx = header_seq_rx_[src].value;
-    std::lock_guard<common::SpinMutex> guard(rx.mutex);
-    if (!rx.tracker.accept(view.fields.seq)) {
-      common::integrity_fail("pplci: duplicated whole-parcel frame rank=",
-                             context_.rank, " src=", src,
-                             " seq=", view.fields.seq,
-                             " — a duplicate would double-dispatch a parcel");
-    }
-  }
-  // The arrival buffer is trimmed in place and becomes the main chunk — no
-  // second copy of the payload on the dominant (no-zchunk) case.
-  amt::InMessage in =
-      amt::take_whole_parcel_body(std::move(frame), view, src);
-  ctr_delivered_.add();
-  context_.deliver(std::move(in));
-}
-
-void LciParcelport::handle_batch(amt::Rank src,
-                                 std::vector<std::byte>&& frame) {
-  // One CRC and ONE per-channel seq check cover the whole frame; each
-  // sub-parcel then dispatches through the normal delivery path, so the
-  // destination handler returns its admission credit exactly as it would
-  // for an unbatched parcel.
-  const amt::BatchView view = amt::decode_batch(frame.data(), frame.size());
-  {
-    HeaderSeqRx& rx = header_seq_rx_[src].value;
-    std::lock_guard<common::SpinMutex> guard(rx.mutex);
-    if (!rx.tracker.accept(view.fields.seq)) {
-      common::integrity_fail("pplci: duplicated batch frame rank=",
-                             context_.rank, " src=", src,
-                             " seq=", view.fields.seq,
-                             " count=", view.fields.count,
-                             " — a duplicate would double-dispatch parcels");
-    }
-  }
-  for (std::size_t i = 0; i < view.offsets.size(); ++i) {
-    amt::InMessage in = amt::take_batch_entry(frame.data() + view.offsets[i],
-                                              view.lengths[i], src);
-    ctr_delivered_.add();
-    context_.deliver(std::move(in));
-  }
+  // worker won the progress ticket). decode_frame verifies the frame and
+  // fail-fasts on corruption, exactly like the header path; one seq check
+  // covers every parcel in it. Each parcel then dispatches through the
+  // normal delivery path, so the destination handler returns its admission
+  // credit exactly as it would for any other parcel.
+  auto& port = *static_cast<LciParcelport*>(arg);
+  const amt::BatchHeader header =
+      amt::decode_frame(entry.data.data(), entry.data.size());
+  port.check_seq(entry.rank, header.seq);
+  amt::take_frame_entries(std::move(entry.data), header.count, entry.rank,
+                          [&port](amt::InMessage&& in) {
+                            port.ctr_delivered_.add();
+                            port.context_.deliver(std::move(in));
+                          });
 }
 
 void LciParcelport::flush_batch(amt::Rank dst,
@@ -834,37 +764,13 @@ void LciParcelport::flush_batch(amt::Rank dst,
     msgs.push_back(&entry.msg);
   }
 
-  // Same allocation + injection discipline as the single-parcel fast path
-  // (explicit retry with bounded backoff); the aggregator guarantees the
-  // frame fits agg_cap_ <= one medium message.
-  std::optional<minilci::PacketBuffer> packet;
-  unsigned backoff_round = 0;
-  for (;;) {
-    packet = device_.try_alloc_packet();
-    if (packet) break;
-    if (progress_type_ == amt::ParcelportConfig::ProgressType::kWorker) {
-      try_progress();
-    }
-    send_backoff(backoff_round);
-  }
-  const std::uint32_t seq =
-      header_seq_tx_[dst].value.fetch_add(1, std::memory_order_relaxed);
-  packet->set_size(amt::encode_batch_to(msgs.data(), msgs.size(), seq,
-                                        packet->data(), packet->capacity()));
-  backoff_round = 0;
-  for (;;) {
-    const common::Status status =
-        protocol_ == amt::ParcelportConfig::Protocol::kPutSendRecv
-            ? device_.put_dyn_packet(dst, minilci::kFastpathTag, *packet,
-                                     minilci::Comp::none())
-            : device_.sendm_packet(dst, minilci::kFastpathTag, *packet,
-                                   minilci::Comp::none());
-    if (status == common::Status::kOk) break;
-    if (progress_type_ == amt::ParcelportConfig::ProgressType::kWorker) {
-      try_progress();
-    }
-    send_backoff(backoff_round);
-  }
+  // The aggregator guarantees the frame fits agg_cap_ <= one medium message.
+  inject_packet(
+      dst, minilci::kFastpathTag,
+      [&msgs](std::uint32_t seq, std::byte* out, std::size_t cap) {
+        return amt::encode_frame_to(msgs.data(), msgs.size(), seq, out, cap);
+      },
+      kUnboundedAllocRounds, minilci::Comp::none(), 0);
 
   ctr_agg_batched_.add(batch.size());
   switch (reason) {

@@ -41,28 +41,26 @@
 //   * aggregation agg<N>/aggt<U>/aggoff — adaptive per-destination
 //                             coalescing of small parcels (below).
 //
-// Small-parcel fast path (hpx5 `pwc` style, on by default): when the whole
-// message — header, inline data, and every zero-copy chunk payload — fits
-// under the fast-path byte cap (fp<N> token / AMTNET_LCI_FASTPATH, capped at
-// the eager threshold), send() packs it into ONE pool packet on the reserved
-// tag minilci::kFastpathTag and the receive side dispatches it from a
-// handler completion fired straight out of progress context: no
-// ReceiverConnection, no follow-up tag allocation, no completion-queue round
-// trip. Larger messages take the unchanged header + follow-up path
-// (counted under pplci/*/fastpath_fallbacks).
-//
-// Adaptive aggregation (agg<BYTES> token / AMTNET_LCI_AGG, off by default):
-// fast-path-sized parcels bound for a *backpressured* destination (admission
-// credits outstanding — ParcelportContext::queue_depth) are coalesced in a
-// per-destination amt::Aggregator buffer and travel as one multi-parcel
-// batch frame on the same reserved tag, amortizing per-message injection
-// overhead across the batch. Frames flush on a size cap, an age deadline
-// (aggt<USEC> / AMTNET_LCI_AGG_AGE_US), idle background work, or stop();
-// the receive side distinguishes batch from whole-parcel frames by leading
-// magic, verifies one CRC + one per-channel seq per frame, and dispatches
-// every sub-parcel through the normal delivery path so admission credits
-// still return from the destination handler. When the destination is idle,
-// parcels keep taking the single-parcel fast path unbuffered.
+// Small-parcel frames (hpx5 `pwc` style): every sub-threshold parcel travels
+// in ONE frame kind (amt::BatchHeader in wire_header.hpp) on the reserved tag
+// minilci::kFastpathTag, packed into one pool packet; the receive side
+// dispatches it from a handler completion fired straight out of progress
+// context: no ReceiverConnection, no follow-up tag allocation, no
+// completion-queue round trip. One handler verifies each frame (CRC-32 plus
+// the per-channel seq shared with header messages) and delivers its parcels.
+//   * Fast path (fp<N> token / AMTNET_LCI_FASTPATH, on by default, capped at
+//     the eager threshold): a message whose frame fits under the cap is sent
+//     as a frame of one. Larger messages take the unchanged header +
+//     follow-up path (counted under pplci/*/fastpath_fallbacks).
+//   * Adaptive aggregation (agg<BYTES> token / AMTNET_LCI_AGG, off by
+//     default): fast-path-sized parcels bound for a *backpressured*
+//     destination (admission credits outstanding —
+//     ParcelportContext::queue_depth) are coalesced in a per-destination
+//     amt::Aggregator buffer and travel as one frame of many, amortizing
+//     per-message injection overhead across the batch. Frames flush on a
+//     size cap, an age deadline (aggt<USEC> / AMTNET_LCI_AGG_AGE_US), idle
+//     background work, or stop(). When the destination is idle, parcels
+//     keep taking the fast path unbuffered.
 #pragma once
 
 #include <array>
@@ -77,6 +75,7 @@
 #include "amt/parcelport.hpp"
 #include "amt/wire_header.hpp"
 #include "common/cache.hpp"
+#include "common/function_ref.hpp"
 #include "common/spinlock.hpp"
 #include "minilci/device.hpp"
 #include "queues/mpmc_queue.hpp"
@@ -99,9 +98,9 @@ class LciParcelport final : public amt::Parcelport {
   std::uint64_t messages_delivered() const { return ctr_delivered_.value(); }
   /// Effective follow-up pipeline depth (0 = unbounded).
   std::size_t pipeline_depth() const { return pipeline_depth_; }
-  /// Effective fast-path frame-size cap in bytes (0 = fast path off).
+  /// Effective one-parcel frame-size cap in bytes (0 = fast path off).
   std::size_t fastpath_cap() const { return fastpath_cap_; }
-  /// Effective batch-frame byte cap (0 = aggregation off).
+  /// Effective batched frame byte cap (0 = aggregation off).
   std::size_t aggregation_cap() const { return agg_cap_; }
 
   /// Test hook: positions the follow-up tag counter (e.g. just below the
@@ -192,18 +191,29 @@ class LciParcelport final : public amt::Parcelport {
 
   std::uint32_t alloc_tags(std::size_t count);
   void handle_header(amt::Rank src, const std::byte* data, std::size_t size);
-  /// Fast-path delivery: fired as a minilci handler completion from progress
-  /// context when a whole-parcel frame arrives on kFastpathTag.
-  static void fastpath_handler(minilci::CqEntry&& entry, void* arg);
-  void handle_fastpath(amt::Rank src, std::vector<std::byte>&& frame);
-  /// Batch-frame delivery: one CRC + one seq check, then every sub-parcel
-  /// dispatches through the normal delivery path.
-  void handle_batch(amt::Rank src, std::vector<std::byte>&& frame);
-  /// Aggregator flush callback: encodes the batch into one pool packet,
-  /// injects it on the reserved tag, then fires every entry's done callback.
+  /// The one per-channel duplicate check for header messages and frames.
+  void check_seq(amt::Rank src, std::uint32_t seq);
+  /// Frame delivery: fired as a minilci handler completion from progress
+  /// context when a frame arrives on kFastpathTag.
+  static void frame_handler(minilci::CqEntry&& entry, void* arg);
+  /// Aggregator flush callback: encodes the batch into one frame, injects
+  /// it on the reserved tag, then fires every entry's done callback.
   void flush_batch(amt::Rank dst,
                    std::vector<amt::Aggregator::Entry>&& batch,
                    amt::Aggregator::FlushReason reason);
+  /// Writes the message into a packet of `capacity` bytes at `out`, stamped
+  /// with per-destination `seq`; returns the bytes written.
+  using EncodeFn = common::FunctionRef<std::size_t(
+      std::uint32_t seq, std::byte* out, std::size_t capacity)>;
+  static constexpr unsigned kUnboundedAllocRounds = ~0u;
+  /// Allocates a pool packet (giving up after `alloc_rounds` backoff
+  /// rounds), stamps the next per-destination seq, lets `encode` fill the
+  /// packet, and injects it on `tag` (dynamic put under psr, medium send
+  /// under sr) with explicit retry. Returns false only when the allocation
+  /// gave up, in which case nothing was sent.
+  bool inject_packet(amt::Rank dst, minilci::Tag tag, EncodeFn encode,
+                     unsigned alloc_rounds, const minilci::Comp& comp,
+                     std::uint64_t ctx);
   void dispatch_entry(minilci::CqEntry&& entry);
   bool poll_completions();
   bool poll_remote_puts();
@@ -217,8 +227,8 @@ class LciParcelport final : public amt::Parcelport {
   /// Posts one follow-up receive (medium or long, by size) for `piece`.
   void post_recv_piece(ReceiverConnection* connection, std::size_t piece,
                        std::size_t size, std::vector<std::byte>& buf);
-  /// Bounded exponential backoff between injection retries; counts every
-  /// round in pplci/*/send_retries.
+  /// Bounded exponential backoff between injection retries (polling the
+  /// device first in mt mode); counts every round in pplci/*/send_retries.
   void send_backoff(unsigned& round);
   void progress_thread_loop();
 
@@ -229,8 +239,8 @@ class LciParcelport final : public amt::Parcelport {
   const std::size_t max_header_size_;
   const std::size_t pipeline_depth_;  // 0 = unbounded
   const int progress_threads_;        // ticket bound; 0 = unbounded
-  const std::size_t fastpath_cap_;    // whole-frame byte cap; 0 = off
-  const std::size_t agg_cap_;         // batch-frame byte cap; 0 = agg off
+  const std::size_t fastpath_cap_;    // one-parcel frame byte cap; 0 = off
+  const std::size_t agg_cap_;         // batched frame byte cap; 0 = agg off
 
   minilci::CompQueue remote_put_cq_;  // pre-configured remote CQ for puts
   minilci::Device device_;
@@ -277,9 +287,9 @@ class LciParcelport final : public amt::Parcelport {
 
   std::atomic<std::uint64_t> next_tag_{1};  // 0 is the sr header tag
 
-  // End-to-end header integrity: per-destination generation counters stamped
-  // into every WireHeader, and per-source trackers that fail fast on a
-  // duplicated header (which would double-deliver a parcel).
+  // End-to-end integrity: per-destination generation counters stamped into
+  // every header message and frame, and per-source trackers that fail fast
+  // on a duplicate (which would double-deliver a parcel).
   std::vector<common::CachePadded<std::atomic<std::uint32_t>>> header_seq_tx_;
   struct HeaderSeqRx {
     common::SpinMutex mutex;

@@ -767,12 +767,12 @@ TEST(ParcelportConfigTest, AggregationTokens) {
 
   // A cap below the minimum one-parcel frame could never flush anything:
   // reject it at parse rather than wedging the aggregator at runtime.
-  static_assert(amt::kMinAggFrameBytes == 32);
-  EXPECT_THROW(ParcelportConfig::parse("lci_psr_cq_pin_agg31_i"),
+  static_assert(amt::kMinAggFrameBytes == 24);
+  EXPECT_THROW(ParcelportConfig::parse("lci_psr_cq_pin_agg23_i"),
                std::invalid_argument);
   EXPECT_THROW(ParcelportConfig::parse("lci_psr_cq_pin_agg16_i"),
                std::invalid_argument);
-  EXPECT_NO_THROW(ParcelportConfig::parse("lci_psr_cq_pin_agg32_i"));
+  EXPECT_NO_THROW(ParcelportConfig::parse("lci_psr_cq_pin_agg24_i"));
 }
 
 // ---------------- admission control over the loopback parcelport ----------
@@ -958,6 +958,44 @@ TEST(AdmissionTest, MultiThreadedBoundedQueueStress) {
   }
   EXPECT_EQ(total_accepted, static_cast<std::uint64_t>(accepted.load()));
   EXPECT_EQ(total_shed, static_cast<std::uint64_t>(shed.load()));
+  runtime.stop();
+}
+
+TEST(AdmissionTest, ConcurrentSendersNeverOvershootTheWindow) {
+  // Many sender tasks spin on one destination through a two-credit shed
+  // window until each has landed its quota. Every credit that returns is
+  // raced for by all of them at once; the slot must go to exactly one. A
+  // check-then-increment reservation lets two racers both see "one slot
+  // free" and both take it, which shows as a peak depth above the bound.
+  constexpr int kSenders = 8;
+  constexpr int kPerSender = 200;
+  constexpr std::uint32_t kBound = 2;
+  RuntimeConfig config = admission_config(
+      amt::AdmissionConfig::Policy::kShed, kBound);
+  config.threads_per_locality = 4;
+  config.parcelport.send_immediate = true;
+  Runtime runtime(config, amt::loopback_parcelport_factory());
+  runtime.start();
+  actions::ping_count.store(0);
+  std::atomic<int> senders_done{0};
+  for (int s = 0; s < kSenders; ++s) {
+    runtime.locality(0).spawn([&] {
+      for (int landed = 0; landed < kPerSender;) {
+        if (amt::here().try_apply<&actions::ping>(1)) ++landed;
+      }
+      senders_done.fetch_add(1);
+    });
+  }
+  ASSERT_TRUE(testutil::spin_until(
+      [&] {
+        return senders_done.load() == kSenders &&
+               actions::ping_count.load() == kSenders * kPerSender;
+      },
+      std::chrono::milliseconds(60000)));
+  const auto stats = runtime.locality(0).admission_stats();
+  EXPECT_EQ(stats.accepted, static_cast<std::uint64_t>(kSenders * kPerSender));
+  EXPECT_GT(stats.shed, 0u);
+  EXPECT_LE(stats.peak_queue_depth, static_cast<std::int64_t>(kBound));
   runtime.stop();
 }
 

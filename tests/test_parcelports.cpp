@@ -95,132 +95,43 @@ TEST(WireHeader, OriginalPolicyFixed512NoTchunkPiggyback) {
   EXPECT_FALSE(plan.piggy_main);
 }
 
-// ---------------- whole-parcel fast-path frame ----------------
+// ---------------- small-parcel frame (fast path + aggregation) ------------
 
 namespace {
 
 // Recomputes and patches the CRC after a deliberate field edit, so the
 // tests below exercise the *structural* validation rather than tripping
 // over the checksum first.
-void repatch_whole_parcel_crc(std::vector<std::byte>& frame) {
+void repatch_crc(std::vector<std::byte>& frame,
+                 std::size_t crc_offset = offsetof(amt::BatchHeader, crc)) {
   const std::uint32_t zero = 0;
-  std::memcpy(frame.data() + offsetof(amt::WholeParcelHeader, crc), &zero,
-              sizeof(zero));
+  std::memcpy(frame.data() + crc_offset, &zero, sizeof(zero));
   const std::uint32_t crc = common::crc32(frame.data(), frame.size());
-  std::memcpy(frame.data() + offsetof(amt::WholeParcelHeader, crc), &crc,
-              sizeof(crc));
-}
-
-}  // namespace
-
-TEST(WholeParcelFrame, RoundTripWithZchunksAndBufferReuse) {
-  const auto msg = make_msg(64, {100, 200});
-  const std::size_t frame_size = amt::whole_parcel_frame_size(msg);
-  EXPECT_EQ(frame_size, 24u + 2 * 8 + 64 + 100 + 200);
-  std::vector<std::byte> frame(frame_size);
-  EXPECT_EQ(amt::encode_whole_parcel_to(msg, /*seq=*/42, frame.data(),
-                                        frame.size()),
-            frame_size);
-
-  const auto view = amt::decode_whole_parcel(frame.data(), frame.size());
-  EXPECT_EQ(view.fields.seq, 42u);
-  EXPECT_EQ(view.fields.num_zchunks, 2u);
-  EXPECT_EQ(view.fields.main_size, 64u);
-  ASSERT_EQ(view.zsizes.size(), 2u);
-  EXPECT_EQ(view.zsizes[0], 100u);
-  EXPECT_EQ(view.zsizes[1], 200u);
-
-  const auto in = amt::take_whole_parcel_body(std::move(frame), view, 7);
-  EXPECT_EQ(in.source, 7);
-  ASSERT_EQ(in.main_chunk.size(), 64u);
-  EXPECT_EQ(in.main_chunk[63], std::byte{0x5a});
-  ASSERT_EQ(in.zchunks.size(), 2u);
-  ASSERT_EQ(in.zchunks[0].size(), 100u);
-  EXPECT_EQ(in.zchunks[0][99], std::byte{1});
-  ASSERT_EQ(in.zchunks[1].size(), 200u);
-  EXPECT_EQ(in.zchunks[1][0], std::byte{2});
-}
-
-TEST(WholeParcelFrame, MainOnlyFrameIsHeaderPlusPayload) {
-  const auto msg = make_msg(512, {});
-  std::vector<std::byte> frame(amt::whole_parcel_frame_size(msg));
-  EXPECT_EQ(frame.size(), sizeof(amt::WholeParcelHeader) + 512);
-  amt::encode_whole_parcel_to(msg, /*seq=*/0, frame.data(), frame.size());
-  const auto view = amt::decode_whole_parcel(frame.data(), frame.size());
-  EXPECT_EQ(view.fields.num_zchunks, 0u);
-  const auto in = amt::take_whole_parcel_body(std::move(frame), view, 1);
-  EXPECT_EQ(in.main_chunk.size(), 512u);
-  EXPECT_TRUE(in.zchunks.empty());
-}
-
-TEST(WholeParcelFrameDeathTest, CorruptedPayloadFailsFast) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const auto msg = make_msg(64, {100});
-  std::vector<std::byte> frame(amt::whole_parcel_frame_size(msg));
-  amt::encode_whole_parcel_to(msg, /*seq=*/5, frame.data(), frame.size());
-  frame[frame.size() - 3] ^= std::byte{0x04};
-  EXPECT_DEATH(amt::decode_whole_parcel(frame.data(), frame.size()),
-               "whole-parcel frame CRC mismatch");
-}
-
-TEST(WholeParcelFrameDeathTest, TruncatedFrameFailsFast) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  std::vector<std::byte> frame(8, std::byte{0});
-  EXPECT_DEATH(amt::decode_whole_parcel(frame.data(), frame.size()),
-               "whole-parcel frame truncated");
-}
-
-TEST(WholeParcelFrameDeathTest, ForeignFrameKindFailsFast) {
-  // A regular wire header routed onto the fast-path tag must be rejected
-  // by the magic check, not mis-parsed as a whole parcel.
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const auto msg = make_msg(64, {});
-  const auto plan = amt::HeaderPlan::decide(msg, 8192);
-  std::vector<std::byte> wire;
-  amt::encode_header(msg, plan, 9, /*seq=*/0, wire);
-  EXPECT_DEATH(amt::decode_whole_parcel(wire.data(), wire.size()),
-               "whole-parcel frame bad magic");
-}
-
-TEST(WholeParcelFrameDeathTest, DeclaredSizesMustMatchFrameExactly) {
-  // A frame whose CRC is valid but whose declared sizes do not add up to
-  // the buffer (e.g. a maliciously re-checksummed truncation) still dies.
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const auto msg = make_msg(64, {});
-  std::vector<std::byte> frame(amt::whole_parcel_frame_size(msg));
-  amt::encode_whole_parcel_to(msg, /*seq=*/0, frame.data(), frame.size());
-  std::uint64_t bad_main = 63;
-  std::memcpy(frame.data() + offsetof(amt::WholeParcelHeader, main_size),
-              &bad_main, sizeof(bad_main));
-  repatch_whole_parcel_crc(frame);
-  EXPECT_DEATH(amt::decode_whole_parcel(frame.data(), frame.size()),
-               "whole-parcel frame size mismatch");
-}
-
-// ---------------- multi-parcel batch frame (adaptive aggregation) --------
-
-namespace {
-
-// Same trick as repatch_whole_parcel_crc: re-checksum after a deliberate
-// field edit so the structural validation is what trips, not the CRC.
-void repatch_batch_crc(std::vector<std::byte>& frame) {
-  const std::uint32_t zero = 0;
-  std::memcpy(frame.data() + offsetof(amt::BatchHeader, crc), &zero,
-              sizeof(zero));
-  const std::uint32_t crc = common::crc32(frame.data(), frame.size());
-  std::memcpy(frame.data() + offsetof(amt::BatchHeader, crc), &crc,
-              sizeof(crc));
+  std::memcpy(frame.data() + crc_offset, &crc, sizeof(crc));
 }
 
 std::vector<std::byte> encode_batch(
     const std::vector<const amt::OutMessage*>& msgs, std::uint32_t seq) {
-  std::vector<std::byte> frame(
-      amt::batch_frame_size(msgs.data(), msgs.size()));
-  EXPECT_EQ(amt::encode_batch_to(msgs.data(), msgs.size(), seq, frame.data(),
+  std::vector<std::byte> frame(amt::frame_size(msgs.data(), msgs.size()));
+  EXPECT_EQ(amt::encode_frame_to(msgs.data(), msgs.size(), seq, frame.data(),
                                  frame.size()),
             frame.size());
   return frame;
 }
+
+std::vector<amt::InMessage> take_all(std::vector<std::byte>&& frame,
+                                     std::uint32_t count, amt::Rank source) {
+  std::vector<amt::InMessage> out;
+  amt::take_frame_entries(std::move(frame), count, source,
+                          [&out](amt::InMessage&& in) {
+                            out.push_back(std::move(in));
+                          });
+  return out;
+}
+
+// Byte offset of the first entry's main_size field.
+constexpr std::size_t kEntry0MainSize =
+    sizeof(amt::BatchHeader) + sizeof(std::uint32_t);
 
 }  // namespace
 
@@ -230,39 +141,65 @@ TEST(BatchFrame, RoundTripThreeParcelsWithZchunks) {
   const auto m2 = make_msg(0, {50});
   auto frame = encode_batch({&m0, &m1, &m2}, /*seq=*/9);
 
-  EXPECT_EQ(amt::peek_frame_magic(frame.data(), frame.size()),
-            amt::kBatchMagic);
-  const auto view = amt::decode_batch(frame.data(), frame.size());
-  EXPECT_EQ(view.fields.count, 3u);
-  EXPECT_EQ(view.fields.seq, 9u);
-  ASSERT_EQ(view.offsets.size(), 3u);
-  ASSERT_EQ(view.lengths.size(), 3u);
+  const auto header = amt::decode_frame(frame.data(), frame.size());
+  EXPECT_EQ(header.count, 3u);
+  EXPECT_EQ(header.seq, 9u);
+  const auto in = take_all(std::move(frame), header.count, /*source=*/5);
+  ASSERT_EQ(in.size(), 3u);
 
-  const auto in0 =
-      amt::take_batch_entry(frame.data() + view.offsets[0], view.lengths[0],
-                            /*source=*/5);
-  EXPECT_EQ(in0.source, 5);
-  ASSERT_EQ(in0.main_chunk.size(), 8u);
-  EXPECT_EQ(in0.main_chunk[7], std::byte{0x5a});
-  EXPECT_TRUE(in0.zchunks.empty());
+  EXPECT_EQ(in[0].source, 5);
+  ASSERT_EQ(in[0].main_chunk.size(), 8u);
+  EXPECT_EQ(in[0].main_chunk[7], std::byte{0x5a});
+  EXPECT_TRUE(in[0].zchunks.empty());
 
-  const auto in1 =
-      amt::take_batch_entry(frame.data() + view.offsets[1], view.lengths[1],
-                            /*source=*/5);
-  ASSERT_EQ(in1.main_chunk.size(), 64u);
-  EXPECT_EQ(in1.main_chunk[0], std::byte{0x5a});
-  ASSERT_EQ(in1.zchunks.size(), 2u);
-  ASSERT_EQ(in1.zchunks[0].size(), 100u);
-  EXPECT_EQ(in1.zchunks[0][99], std::byte{1});
-  ASSERT_EQ(in1.zchunks[1].size(), 200u);
-  EXPECT_EQ(in1.zchunks[1][0], std::byte{2});
+  ASSERT_EQ(in[1].main_chunk.size(), 64u);
+  EXPECT_EQ(in[1].main_chunk[0], std::byte{0x5a});
+  ASSERT_EQ(in[1].zchunks.size(), 2u);
+  ASSERT_EQ(in[1].zchunks[0].size(), 100u);
+  EXPECT_EQ(in[1].zchunks[0][99], std::byte{1});
+  ASSERT_EQ(in[1].zchunks[1].size(), 200u);
+  EXPECT_EQ(in[1].zchunks[1][0], std::byte{2});
 
-  const auto in2 =
-      amt::take_batch_entry(frame.data() + view.offsets[2], view.lengths[2],
-                            /*source=*/5);
-  EXPECT_TRUE(in2.main_chunk.empty());
-  ASSERT_EQ(in2.zchunks.size(), 1u);
-  EXPECT_EQ(in2.zchunks[0].size(), 50u);
+  EXPECT_TRUE(in[2].main_chunk.empty());
+  ASSERT_EQ(in[2].zchunks.size(), 1u);
+  EXPECT_EQ(in[2].zchunks[0].size(), 50u);
+}
+
+TEST(BatchFrame, OneParcelRoundTripWithZchunksAndBufferReuse) {
+  // The fast path's frame of one: header + entry sizes + zchunk size table
+  // + payloads, and the arrival vector itself becomes the main chunk.
+  const auto msg = make_msg(64, {100, 200});
+  auto frame = encode_batch({&msg}, /*seq=*/42);
+  EXPECT_EQ(frame.size(), 24u + 2 * 8 + 64 + 100 + 200);
+  const std::byte* arrival = frame.data();
+
+  const auto header = amt::decode_frame(frame.data(), frame.size());
+  EXPECT_EQ(header.seq, 42u);
+  EXPECT_EQ(header.count, 1u);
+  const auto in = take_all(std::move(frame), header.count, /*source=*/7);
+  ASSERT_EQ(in.size(), 1u);
+  EXPECT_EQ(in[0].source, 7);
+  ASSERT_EQ(in[0].main_chunk.size(), 64u);
+  EXPECT_EQ(in[0].main_chunk.data(), arrival) << "main chunk was copied";
+  EXPECT_EQ(in[0].main_chunk[63], std::byte{0x5a});
+  ASSERT_EQ(in[0].zchunks.size(), 2u);
+  ASSERT_EQ(in[0].zchunks[0].size(), 100u);
+  EXPECT_EQ(in[0].zchunks[0][99], std::byte{1});
+  ASSERT_EQ(in[0].zchunks[1].size(), 200u);
+  EXPECT_EQ(in[0].zchunks[1][0], std::byte{2});
+}
+
+TEST(BatchFrame, MainOnlyOneParcelFrameIsHeaderPlusPayload) {
+  // 24 B of envelope per single-parcel frame: fig7's straddle arithmetic
+  // (payload + 53 B) depends on it.
+  const auto msg = make_msg(512, {});
+  auto frame = encode_batch({&msg}, /*seq=*/0);
+  EXPECT_EQ(frame.size(), 24u + 512);
+  const auto header = amt::decode_frame(frame.data(), frame.size());
+  const auto in = take_all(std::move(frame), header.count, /*source=*/1);
+  ASSERT_EQ(in.size(), 1u);
+  EXPECT_EQ(in[0].main_chunk.size(), 512u);
+  EXPECT_TRUE(in[0].zchunks.empty());
 }
 
 TEST(BatchFrame, MinimalOneParcelFrameMatchesTheParseFloor) {
@@ -271,34 +208,41 @@ TEST(BatchFrame, MinimalOneParcelFrameMatchesTheParseFloor) {
   // config error message) must follow.
   const auto msg = make_msg(0, {});
   const amt::OutMessage* msgs[] = {&msg};
-  EXPECT_EQ(amt::batch_frame_size(msgs, 1), amt::kMinAggFrameBytes);
+  EXPECT_EQ(amt::frame_size(msgs, 1), amt::kMinAggFrameBytes);
 }
 
 TEST(BatchFrameDeathTest, CorruptedPayloadFailsFast) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto single = make_msg(64, {100});
+  auto one = encode_batch({&single}, /*seq=*/5);
+  one[one.size() - 3] ^= std::byte{0x04};
+  EXPECT_DEATH(amt::decode_frame(one.data(), one.size()),
+               "batch frame CRC mismatch");
+
   const auto m0 = make_msg(32, {});
   const auto m1 = make_msg(16, {});
-  auto frame = encode_batch({&m0, &m1}, /*seq=*/1);
-  frame[frame.size() - 5] ^= std::byte{0x20};
-  EXPECT_DEATH(amt::decode_batch(frame.data(), frame.size()),
+  auto two = encode_batch({&m0, &m1}, /*seq=*/1);
+  two[two.size() - 5] ^= std::byte{0x20};
+  EXPECT_DEATH(amt::decode_frame(two.data(), two.size()),
                "batch frame CRC mismatch");
 }
 
 TEST(BatchFrameDeathTest, TruncatedFrameFailsFast) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   std::vector<std::byte> frame(8, std::byte{0});
-  EXPECT_DEATH(amt::decode_batch(frame.data(), frame.size()),
+  EXPECT_DEATH(amt::decode_frame(frame.data(), frame.size()),
                "batch frame truncated");
 }
 
 TEST(BatchFrameDeathTest, ForeignFrameKindFailsFast) {
-  // A whole-parcel frame routed into the batch decoder (both frame kinds
-  // share the fast-path tag) must be rejected by the magic check.
+  // A regular wire header routed onto the fast-path tag must be rejected
+  // by the magic check, not mis-parsed as a frame.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const auto msg = make_msg(64, {});
-  std::vector<std::byte> frame(amt::whole_parcel_frame_size(msg));
-  amt::encode_whole_parcel_to(msg, /*seq=*/0, frame.data(), frame.size());
-  EXPECT_DEATH(amt::decode_batch(frame.data(), frame.size()),
+  const auto plan = amt::HeaderPlan::decide(msg, 8192);
+  std::vector<std::byte> wire;
+  amt::encode_header(msg, plan, 9, /*seq=*/0, wire);
+  EXPECT_DEATH(amt::decode_frame(wire.data(), wire.size()),
                "batch frame bad magic");
 }
 
@@ -309,42 +253,55 @@ TEST(BatchFrameDeathTest, ZeroCountFailsFastEvenWithValidCrc) {
   const std::uint32_t zero_count = 0;
   std::memcpy(frame.data() + offsetof(amt::BatchHeader, count), &zero_count,
               sizeof(zero_count));
-  repatch_batch_crc(frame);
-  EXPECT_DEATH(amt::decode_batch(frame.data(), frame.size()),
+  repatch_crc(frame);
+  EXPECT_DEATH(amt::decode_frame(frame.data(), frame.size()),
                "batch frame bad count");
 }
 
-TEST(BatchFrameDeathTest, OverdeclaredEntryLengthFailsFast) {
+TEST(BatchFrameDeathTest, OverdeclaredEntrySizeFailsFast) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const auto msg = make_msg(16, {});
   auto frame = encode_batch({&msg}, /*seq=*/0);
-  std::uint32_t length = 0;
-  std::memcpy(&length, frame.data() + sizeof(amt::BatchHeader),
-              sizeof(length));
-  length += 8;
-  std::memcpy(frame.data() + sizeof(amt::BatchHeader), &length,
-              sizeof(length));
-  repatch_batch_crc(frame);
-  EXPECT_DEATH(amt::decode_batch(frame.data(), frame.size()),
-               "batch entry 0 overruns frame");
+  const std::uint32_t bad_main = 16 + 8;
+  std::memcpy(frame.data() + kEntry0MainSize, &bad_main, sizeof(bad_main));
+  repatch_crc(frame);
+  EXPECT_DEATH(amt::decode_frame(frame.data(), frame.size()),
+               "batch entry 0 main chunk .* overruns frame");
 }
 
-TEST(BatchFrameDeathTest, DeclaredLengthsMustCoverFrameExactly) {
-  // A re-checksummed frame whose length table leaves trailing bytes
-  // unaccounted for still dies (e.g. a maliciously shortened entry).
+TEST(BatchFrameDeathTest, DeclaredSizesMustCoverFrameExactly) {
+  // A frame whose CRC is valid but whose declared sizes leave trailing
+  // bytes unaccounted for (e.g. a maliciously re-checksummed truncation)
+  // still dies.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const auto m0 = make_msg(32, {});
-  const auto m1 = make_msg(16, {});
-  auto frame = encode_batch({&m0, &m1}, /*seq=*/0);
-  std::uint32_t length = 0;
-  std::memcpy(&length, frame.data() + sizeof(amt::BatchHeader),
-              sizeof(length));
-  length -= 1;
-  std::memcpy(frame.data() + sizeof(amt::BatchHeader), &length,
-              sizeof(length));
-  repatch_batch_crc(frame);
-  EXPECT_DEATH(amt::decode_batch(frame.data(), frame.size()),
+  const auto msg = make_msg(64, {});
+  auto frame = encode_batch({&msg}, /*seq=*/0);
+  const std::uint32_t bad_main = 63;
+  std::memcpy(frame.data() + kEntry0MainSize, &bad_main, sizeof(bad_main));
+  repatch_crc(frame);
+  EXPECT_DEATH(amt::decode_frame(frame.data(), frame.size()),
                "batch frame size mismatch");
+}
+
+TEST(BatchFrameDeathTest, WrappingZchunkSizeFailsFast) {
+  // A CRC-valid frame whose sizes add up only modulo 2^64: 32 payload bytes
+  // declared as main 16 + zchunks (2^64 - 8) + 24. A sum check accepts it;
+  // every bound must be checked against the bytes actually left, or the
+  // take step reads far past the arrival buffer.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto msg = make_msg(16, {8, 8});
+  auto frame = encode_batch({&msg}, /*seq=*/0);
+  const std::uint64_t zsizes[2] = {~std::uint64_t{0} - 7, 24};
+  std::memcpy(frame.data() + sizeof(amt::BatchHeader) +
+                  amt::kBatchEntryHeaderBytes,
+              zsizes, sizeof(zsizes));
+  repatch_crc(frame);
+  EXPECT_DEATH(
+      {
+        const auto header = amt::decode_frame(frame.data(), frame.size());
+        take_all(std::move(frame), header.count, /*source=*/0);
+      },
+      "batch entry 0 zchunk 0 .* overruns frame");
 }
 
 // ---------------- end-to-end over every configuration ----------------
@@ -572,7 +529,7 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------- small-parcel fast path, end to end ----------------
 
 // Every LCI variant combination with the fast path pinned on, over a 4-rail
-// reordering fabric: small parcels ride single whole-parcel frames (medium
+// reordering fabric: small parcels ride single-parcel frames (medium
 // sends under sr, dynamic puts under psr) while oversized ones must fall
 // back to the header + follow-up path mid-stream with no cross-talk. The
 // fp512 and fpoff rows are regression configs for the cap-tuning and
@@ -999,6 +956,23 @@ TEST(WireHeaderDeathTest, TruncatedHeaderFailsFast) {
   std::vector<std::byte> wire(8, std::byte{0});
   EXPECT_DEATH(amt::decode_header(wire.data(), wire.size()),
                "wire header truncated");
+}
+
+TEST(WireHeaderDeathTest, WrappingMainSizeFailsFast) {
+  // A CRC-valid header whose piggybacked main size wraps past 2^64 back
+  // inside the message must be rejected explicitly, not handed to a copy.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto msg = make_msg(16, {});
+  const auto plan = amt::HeaderPlan::decide(msg, 8192);
+  ASSERT_TRUE(plan.piggy_main);
+  std::vector<std::byte> wire;
+  amt::encode_header(msg, plan, 5, /*seq=*/0, wire);
+  const std::uint64_t wrapping = ~std::uint64_t{0} - 7;
+  std::memcpy(wire.data() + offsetof(amt::WireHeader, main_size), &wrapping,
+              sizeof(wrapping));
+  repatch_crc(wire, offsetof(amt::WireHeader, crc));
+  EXPECT_DEATH(amt::decode_header(wire.data(), wire.size()),
+               "wire header main chunk overruns message");
 }
 
 TEST(HeaderSeqTracker, AcceptsMonotonicRejectsDuplicates) {
