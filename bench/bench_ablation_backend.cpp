@@ -1,14 +1,15 @@
-// Transport-backend ablation ("ablation_backend" suite) plus the
-// multi-process scaling probe the simulator cannot express.
+// Multi-process companion of the "ablation_backend" suite: the scaling
+// probe the simulator cannot express, plus one rank's role of it for the
+// launcher. The suite itself (sim vs shm single-process points, same
+// parcelport and traffic) runs as `bench_suite --run ablation_backend`.
 //
-// Default mode runs the registered suite (sim vs shm single-process points,
-// same parcelport and traffic) and then — when POSIX shm and fork() are
-// available — a 4-rank scaling probe: the same 8 B pair flood once inside
-// ONE process (4 simulator localities sharing one scheduler pool) and once
-// across FOUR processes over shm rings, equal total worker count. On a
-// multi-core machine the 4-process arm is expected to scale past the
-// single-process ceiling (target: >= 2x on >= 4 cores); the ratio is
-// recorded, never gated — it is a property of the machine.
+// Default mode — when POSIX shm and fork() are available — runs a 4-rank
+// scaling probe: the same 8 B pair flood once inside ONE process (4
+// simulator localities sharing one scheduler pool) and once across FOUR
+// processes over shm rings, equal total worker count. On a multi-core
+// machine the 4-process arm is expected to scale past the single-process
+// ceiling (target: >= 2x on >= 4 cores); the ratio is recorded, never
+// gated — it is a property of the machine.
 //
 // SPMD mode (`--spmd-rate [msgs]`) runs ONE rank's role of that flood in
 // the current process, for use under the launcher:
@@ -33,7 +34,6 @@
 #include "expdriver/driver.hpp"
 #include "fabric/backend_shm.hpp"
 #include "stack/stack.hpp"
-#include "suites.hpp"
 
 namespace {
 
@@ -280,9 +280,6 @@ int main(int argc, char** argv) {
       return run_spmd_rate(msgs == 0 ? 20000 : msgs);
     }
   }
-  const int code = bench::suites::run_suite_main("ablation_backend", argc,
-                                                 argv);
-  if (code != 0) return code;
   run_scaling_probe();
   return 0;
 }

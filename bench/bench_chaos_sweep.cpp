@@ -50,8 +50,8 @@ void clear_regime() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const auto env = bench::Env::from_args(argc, argv);
+int main() {
+  const auto env = expdriver::run_env_from_environment();
   bench::print_header(
       "Chaos sweep: 8-byte message rate vs injected fault intensity",
       "integrity-only matches clean within protocol-overhead noise; rates "
@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
       params.total_msgs = static_cast<std::size_t>(20000 * env.scale);
       params.workers = env.workers;
       std::printf("%s,", regime.label);
-      bench::report_rate_point(params, env.runs);
+      bench::report_rate_point(params, env.repetitions);
     }
   }
   clear_regime();

@@ -6,8 +6,8 @@
 //   * a -DAMTNET_TELEMETRY_DISABLED=ON build (everything compiled out)
 #include "harness.hpp"
 
-int main(int argc, char** argv) {
-  const auto env = bench::Env::from_args(argc, argv);
+int main() {
+  const auto env = expdriver::run_env_from_environment();
   bench::print_header(
       "Telemetry overhead probe: unlimited 8B flood, lci_psr_cq_pin_i",
       "rate within ~5% of an AMTNET_TELEMETRY_DISABLED build; "
@@ -22,6 +22,6 @@ int main(int argc, char** argv) {
   params.total_msgs = static_cast<std::size_t>(20000 * env.scale);
   params.attempted_rate = 0;  // unlimited
   params.workers = env.workers;
-  bench::report_rate_point(params, env.runs);
+  bench::report_rate_point(params, env.repetitions);
   return 0;
 }

@@ -59,8 +59,8 @@ void measure_profile(const char* name, fabric::Config config) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const auto env = bench::Env::from_args(argc, argv);
+int main() {
+  const auto env = expdriver::run_env_from_environment();
   bench::print_header(
       "Tables 2 & 3: simulated platform profiles (SDSC Expanse / Rostam)",
       "Expanse: HDR 100Gbps-class, ~1.1us; Rostam: FDR 56Gbps-class, "

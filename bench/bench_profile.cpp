@@ -120,8 +120,8 @@ void profile_config(const char* name, std::size_t msg_size, std::size_t total,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const auto env = bench::Env::from_args(argc, argv);
+int main() {
+  const auto env = expdriver::run_env_from_environment();
   bench::print_header(
       "Profiling breakdown per backend (16KiB flood, then 8B flood)",
       "mpi shows fewer fabric packets/message only because aggregation "

@@ -80,12 +80,12 @@ std::string join_path(const std::string& dir, const std::string& name) {
 }
 
 int do_list() {
-  std::printf("%-28s %-34s %-20s %6s %s\n", "suite", "binary", "figure",
-              "points", "smoke");
+  std::printf("%-28s %-32s %6s %s\n", "suite", "figure", "points",
+              "smoke");
   for (const SuiteSpec* spec : SuiteRegistry::instance().all()) {
-    std::printf("%-28s %-34s %-20s %6zu %s\n", spec->name.c_str(),
-                spec->binary.c_str(), spec->figure.c_str(),
-                spec->points.size(), spec->smoke ? "yes" : "-");
+    std::printf("%-28s %-32s %6zu %s\n", spec->name.c_str(),
+                spec->figure.c_str(), spec->points.size(),
+                spec->smoke ? "yes" : "-");
   }
   return 0;
 }

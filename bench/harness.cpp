@@ -1,8 +1,7 @@
 #include "harness.hpp"
 
+#include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 
 #include "amt/collectives.hpp"
 #include "common/clock.hpp"
@@ -12,25 +11,6 @@
 namespace bench {
 
 namespace {
-
-// JSON record sink (--json). Records accumulate here and the whole file is
-// rewritten after each one, so an interrupted benchmark leaves valid JSON.
-std::string g_json_path;
-std::vector<std::string> g_json_records;
-
-void append_json_record(std::string record) {
-  if (g_json_path.empty()) return;
-  g_json_records.push_back(std::move(record));
-  std::FILE* f = std::fopen(g_json_path.c_str(), "w");
-  if (f == nullptr) return;
-  std::fputs("{\"records\":[", f);
-  for (std::size_t i = 0; i < g_json_records.size(); ++i) {
-    std::fprintf(f, "%s%s", i == 0 ? "\n" : ",\n",
-                 g_json_records[i].c_str());
-  }
-  std::fputs("\n]}\n", f);
-  std::fclose(f);
-}
 
 // Snapshot sink: captures the runtime's telemetry registry right before a
 // benchmark run tears it down (the registry dies with the runtime).
@@ -42,11 +22,6 @@ void capture_snapshot(const amt::Runtime& runtime) {
 
 }  // namespace
 
-void set_json_output(const std::string& path) {
-  g_json_path = path;
-  g_json_records.clear();
-}
-
 void set_snapshot_sink(std::function<void(const telemetry::Snapshot&)> sink) {
   g_snapshot_sink = std::move(sink);
 }
@@ -55,42 +30,14 @@ void capture_harness_snapshot(const amt::Runtime& runtime) {
   capture_snapshot(runtime);
 }
 
-Env Env::from_environment() {
-  Env env;
-  if (const char* s = std::getenv("AMTNET_BENCH_SCALE")) {
-    env.scale = std::strtod(s, nullptr);
-  }
-  if (const char* s = std::getenv("AMTNET_BENCH_RUNS")) {
-    env.runs = static_cast<int>(std::strtol(s, nullptr, 10));
-  }
-  if (const char* s = std::getenv("AMTNET_BENCH_WORKERS")) {
-    env.workers = static_cast<unsigned>(std::strtoul(s, nullptr, 10));
-  }
-  return env;
-}
-
-Env Env::from_args(int argc, char** argv) {
-  Env env = from_environment();
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      env.json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "unknown argument '%s' (supported: --json <file>)\n",
-                   argv[i]);
-    }
-  }
-  set_json_output(env.json_path);
-  return env;
-}
-
 void print_header(const char* figure, const char* expectation,
-                  const Env& env) {
+                  const expdriver::RunEnv& env) {
   std::printf("# %s\n", figure);
   std::printf("# paper expectation: %s\n", expectation);
   std::printf(
       "# env: scale=%.2f runs=%d workers/locality=%u (set "
       "AMTNET_BENCH_SCALE/RUNS/WORKERS to adjust)\n",
-      env.scale, env.runs, env.workers);
+      env.scale, env.repetitions, env.workers);
 }
 
 // ---- message rate ------------------------------------------------------
@@ -247,16 +194,6 @@ double report_rate_point(const RateParams& params, int runs) {
               params.attempted_rate / 1e3, injection.mean, rate.mean,
               rate.stddev);
   std::fflush(stdout);
-  char record[512];
-  std::snprintf(record, sizeof(record),
-                "{\"kind\":\"message_rate\",\"config\":\"%s\","
-                "\"msg_size\":%zu,\"zchunks\":%zu,\"attempted_kps\":%.3f,"
-                "\"injection_kps\":%.3f,\"rate_kps\":%.3f,"
-                "\"stddev_kps\":%.3f}",
-                params.parcelport.c_str(), params.msg_size,
-                params.zchunk_count, params.attempted_rate / 1e3,
-                injection.mean, rate.mean, rate.stddev);
-  append_json_record(record);
   return rate.mean;
 }
 
@@ -373,26 +310,6 @@ double run_latency_us(const LatencyParams& params) {
   return elapsed_us / (2.0 * steps);
 }
 
-void report_latency_point(const LatencyParams& params, int runs) {
-  std::vector<double> samples;
-  for (int run = 0; run < runs; ++run) {
-    samples.push_back(run_latency_us(params));
-  }
-  const auto stats = stats_of(samples);
-  std::printf("%s,%zu,%u,%.2f,%.2f\n", params.parcelport.c_str(),
-              params.msg_size, params.window, stats.mean, stats.stddev);
-  std::fflush(stdout);
-  char record[512];
-  std::snprintf(record, sizeof(record),
-                "{\"kind\":\"latency\",\"config\":\"%s\",\"msg_size\":%zu,"
-                "\"zchunks\":%zu,\"window\":%u,\"latency_us\":%.3f,"
-                "\"stddev_us\":%.3f}",
-                params.parcelport.c_str(), params.msg_size,
-                params.zchunk_count, params.window, stats.mean,
-                stats.stddev);
-  append_json_record(record);
-}
-
 // ---- octo-tiger proxy ------------------------------------------------------
 
 double run_octo_steps_per_second(const OctoParams& params) {
@@ -410,25 +327,6 @@ double run_octo_steps_per_second(const OctoParams& params) {
   capture_snapshot(*runtime);
   runtime->stop();
   return report.steps_per_second;
-}
-
-double report_octo_point(const OctoParams& params, int runs) {
-  std::vector<double> samples;
-  for (int run = 0; run < runs; ++run) {
-    samples.push_back(run_octo_steps_per_second(params));
-  }
-  const auto stats = stats_of(samples);
-  std::printf("%s,%u,%.3f,%.3f\n", params.parcelport.c_str(),
-              params.localities, stats.mean, stats.stddev);
-  std::fflush(stdout);
-  char record[512];
-  std::snprintf(record, sizeof(record),
-                "{\"kind\":\"octo\",\"config\":\"%s\",\"localities\":%u,"
-                "\"steps_per_s\":%.3f,\"stddev\":%.3f}",
-                params.parcelport.c_str(), params.localities, stats.mean,
-                stats.stddev);
-  append_json_record(record);
-  return stats.mean;
 }
 
 // ---- collective rounds -----------------------------------------------------
@@ -518,28 +416,6 @@ double run_collective_us(const CollBenchParams& params) {
   runtime->stop();
   return static_cast<double>(g_coll_elapsed_ns.load()) / 1e3 /
          static_cast<double>(iters);
-}
-
-double report_collective_point(const CollBenchParams& params, int runs) {
-  std::vector<double> samples;
-  for (int run = 0; run < runs; ++run) {
-    samples.push_back(run_collective_us(params));
-  }
-  const auto stats = stats_of(samples);
-  std::printf("%s,%s,%u,%zu,%.3f,%.3f\n", params.parcelport.c_str(),
-              params.op.c_str(), params.localities, params.payload_bytes,
-              stats.mean, stats.stddev);
-  std::fflush(stdout);
-  char record[512];
-  std::snprintf(record, sizeof(record),
-                "{\"kind\":\"coll\",\"config\":\"%s\",\"op\":\"%s\","
-                "\"localities\":%u,\"payload\":%zu,\"coll_us\":%.3f,"
-                "\"stddev\":%.3f}",
-                params.parcelport.c_str(), params.op.c_str(),
-                params.localities, params.payload_bytes, stats.mean,
-                stats.stddev);
-  append_json_record(record);
-  return stats.mean;
 }
 
 }  // namespace bench

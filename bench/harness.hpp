@@ -8,15 +8,8 @@
 //   * Octo-Tiger proxy strong scaling (§5, Figures 10-11): steps/second of
 //     the octree proxy across locality counts and parcelports.
 //
-// Scaling knobs (environment):
-//   AMTNET_BENCH_SCALE  multiplies message/step counts (default 1.0)
-//   AMTNET_BENCH_RUNS   repetitions per data point   (default 2)
-//   AMTNET_BENCH_WORKERS worker threads per locality (default 8)
-//
-// Command-line flags (parsed by Env::from_args):
-//   --json <file>  additionally write every reported data point as a JSON
-//                  record to <file>; the file is rewritten after each point
-//                  so interrupted runs still leave valid JSON behind.
+// Scaling knobs: AMTNET_BENCH_SCALE / RUNS / WORKERS, read once into an
+// expdriver::RunEnv (expdriver::run_env_from_environment).
 #pragma once
 
 #include <cmath>
@@ -27,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "expdriver/experiment.hpp"
 #include "telemetry/registry.hpp"
 
 namespace amt {
@@ -34,17 +28,6 @@ class Runtime;
 }
 
 namespace bench {
-
-struct Env {
-  double scale = 1.0;
-  int runs = 2;
-  unsigned workers = 8;
-  std::string json_path;  // empty: no JSON sink
-  static Env from_environment();
-  /// from_environment() plus command-line flags (currently --json <file>,
-  /// which also installs the process-wide JSON record sink).
-  static Env from_args(int argc, char** argv);
-};
 
 struct Stats {
   double mean = 0.0;
@@ -121,9 +104,6 @@ struct LatencyParams {
 
 double run_latency_us(const LatencyParams& params);
 
-/// CSV row: config,msg_size,window,latency_us,stddev_us
-void report_latency_point(const LatencyParams& params, int runs);
-
 // ---- Octo-Tiger proxy (Figures 10-11) ----
 
 struct OctoParams {
@@ -136,9 +116,6 @@ struct OctoParams {
 };
 
 double run_octo_steps_per_second(const OctoParams& params);
-
-/// CSV row: config,localities,steps_per_s,stddev. Returns mean steps/s.
-double report_octo_point(const OctoParams& params, int runs);
 
 // ---- collective rounds (docs/collectives.md ablation) ----
 
@@ -161,16 +138,9 @@ struct CollBenchParams {
 /// rounds (barrier-fenced, measured on rank 0).
 double run_collective_us(const CollBenchParams& params);
 
-/// CSV row: config,op,localities,payload,coll_us,stddev_us. Returns mean.
-double report_collective_point(const CollBenchParams& params, int runs);
-
 /// Prints the standard benchmark header: figure id, paper expectation, env.
 void print_header(const char* figure, const char* expectation,
-                  const Env& env);
-
-/// Installs (or, with an empty path, removes) the JSON record sink used by
-/// the report_* functions. Usually set via Env::from_args / --json.
-void set_json_output(const std::string& path);
+                  const expdriver::RunEnv& env);
 
 /// Installs a callback that receives the telemetry registry snapshot of each
 /// benchmark run, captured just before the runtime stops. The experiment

@@ -4,14 +4,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "expdriver/driver.hpp"
 #include "expdriver/registry.hpp"
-#include "expdriver/results.hpp"
 #include "fft.hpp"
 #include "harness.hpp"
 #include "loadgen/loadgen.hpp"
@@ -268,7 +266,6 @@ void print_progress_scaling(const SuiteResult& result) {
 SuiteSpec fig1() {
   SuiteSpec s;
   s.name = "fig1_msgrate_8b";
-  s.binary = "bench_fig1_msgrate_8b";
   s.figure = "Figure 1";
   s.title = "8B message rate vs injection rate (mpi, mpi_i, lci_psr_cq_pin, "
             "lci_psr_cq_pin_i)";
@@ -288,7 +285,6 @@ SuiteSpec fig1() {
 SuiteSpec fig2() {
   SuiteSpec s;
   s.name = "fig2_msgrate_8b_lci";
-  s.binary = "bench_fig2_msgrate_8b_lci";
   s.figure = "Figure 2";
   s.title = "8B message rate vs injection rate (8 LCI variants, _i)";
   s.expectation =
@@ -308,7 +304,6 @@ SuiteSpec fig2() {
 SuiteSpec fig3() {
   SuiteSpec s;
   s.name = "fig3_peak_8b";
-  s.binary = "bench_fig3_peak_8b";
   s.figure = "Figure 3";
   s.title = "peak 8B message rate across injection rates (11 configs)";
   s.expectation =
@@ -326,7 +321,6 @@ SuiteSpec fig3() {
 SuiteSpec fig4() {
   SuiteSpec s;
   s.name = "fig4_msgrate_16k";
-  s.binary = "bench_fig4_msgrate_16k";
   s.figure = "Figure 4";
   s.title = "16KiB message rate vs injection rate (mpi, mpi_i, "
             "lci_psr_cq_pin, lci_psr_cq_pin_i)";
@@ -349,7 +343,6 @@ SuiteSpec fig4() {
 SuiteSpec fig5() {
   SuiteSpec s;
   s.name = "fig5_msgrate_16k_lci";
-  s.binary = "bench_fig5_msgrate_16k_lci";
   s.figure = "Figure 5";
   s.title = "16KiB message rate vs injection rate (8 LCI variants, _i)";
   s.expectation =
@@ -370,7 +363,6 @@ SuiteSpec fig5() {
 SuiteSpec fig6() {
   SuiteSpec s;
   s.name = "fig6_peak_16k";
-  s.binary = "bench_fig6_peak_16k";
   s.figure = "Figure 6";
   s.title = "peak 16KiB message rate across injection rates (11 configs)";
   s.expectation =
@@ -389,7 +381,6 @@ SuiteSpec fig6() {
 SuiteSpec fig7() {
   SuiteSpec s;
   s.name = "fig7_latency_size";
-  s.binary = "bench_fig7_latency_size";
   s.figure = "Figure 7";
   s.title = "one-way latency vs message size, window 1 (11 configs)";
   s.expectation =
@@ -422,7 +413,6 @@ SuiteSpec fig7() {
 SuiteSpec fig8() {
   SuiteSpec s;
   s.name = "fig8_latency_window_8b";
-  s.binary = "bench_fig8_latency_window_8b";
   s.figure = "Figure 8";
   s.title = "8B one-way latency vs window size (11 configs)";
   s.expectation =
@@ -440,7 +430,6 @@ SuiteSpec fig8() {
 SuiteSpec fig9() {
   SuiteSpec s;
   s.name = "fig9_latency_window_16k";
-  s.binary = "bench_fig9_latency_window_16k";
   s.figure = "Figure 9";
   s.title = "16KiB one-way latency vs window size (11 configs)";
   s.expectation =
@@ -458,7 +447,6 @@ SuiteSpec fig9() {
 SuiteSpec fig10() {
   SuiteSpec s;
   s.name = "fig10_octotiger_expanse";
-  s.binary = "bench_fig10_octotiger_expanse";
   s.figure = "Figure 10";
   s.title = "Octo-Tiger proxy strong scaling, Expanse profile";
   s.expectation =
@@ -477,7 +465,6 @@ SuiteSpec fig10() {
 SuiteSpec fig11() {
   SuiteSpec s;
   s.name = "fig11_octotiger_rostam";
-  s.binary = "bench_fig11_octotiger_rostam";
   s.figure = "Figure 11";
   s.title = "Octo-Tiger proxy strong scaling, Rostam profile";
   s.expectation =
@@ -495,7 +482,6 @@ SuiteSpec fig11() {
 SuiteSpec ablation_mpi_original() {
   SuiteSpec s;
   s.name = "ablation_mpi_original";
-  s.binary = "bench_ablation_mpi_original";
   s.figure = "§3.1 ablation";
   s.title = "original vs improved MPI parcelport";
   s.expectation =
@@ -517,7 +503,6 @@ SuiteSpec ablation_mpi_original() {
 SuiteSpec ablation_mpi_lock() {
   SuiteSpec s;
   s.name = "ablation_mpi_lock";
-  s.binary = "bench_ablation_mpi_lock";
   s.figure = "§7.1 ablation";
   s.title = "coarse vs fine-grained progress lock in the MPI layer";
   s.expectation =
@@ -538,7 +523,6 @@ SuiteSpec ablation_mpi_lock() {
 SuiteSpec ablation_zc_threshold() {
   SuiteSpec s;
   s.name = "ablation_zc_threshold";
-  s.binary = "bench_ablation_zc_threshold";
   s.figure = "§2.2 ablation";
   s.title = "zero-copy serialization threshold (HPX default 8192)";
   s.expectation =
@@ -639,7 +623,6 @@ void print_aggregation_speedup(const SuiteResult& result) {
 SuiteSpec ablation_aggregation() {
   SuiteSpec s;
   s.name = "ablation_aggregation";
-  s.binary = "bench_ablation_aggregation";
   s.figure = "§3.2.2/§7.1 ablation";
   s.title =
       "parcel aggregation: connection-cache limits vs the adaptive "
@@ -746,7 +729,6 @@ SuiteSpec ablation_aggregation() {
 SuiteSpec ablation_rails() {
   SuiteSpec s;
   s.name = "ablation_rails";
-  s.binary = "bench_ablation_rails";
   s.figure = "§7.2 ablation";
   s.title = "fabric rails per link (multi-QP striping)";
   s.expectation =
@@ -766,7 +748,6 @@ SuiteSpec ablation_rails() {
 SuiteSpec ablation_pipeline() {
   SuiteSpec s;
   s.name = "ablation_pipeline";
-  s.binary = "bench_ablation_pipeline";
   s.figure = "follow-up pipelining ablation";
   s.title = "LCI follow-up pipeline depth (pd1/pd4/pd16/unbounded)";
   s.expectation =
@@ -812,7 +793,6 @@ SuiteSpec ablation_pipeline() {
 SuiteSpec ablation_progress() {
   SuiteSpec s;
   s.name = "ablation_progress";
-  s.binary = "bench_ablation_progress";
   s.figure = "progress-engine scaling ablation";
   s.title =
       "mt progress scaling: rendezvous shards x progress tickets x workers";
@@ -928,7 +908,6 @@ void print_fastpath_speedup(const SuiteResult& result) {
 SuiteSpec ablation_fastpath() {
   SuiteSpec s;
   s.name = "ablation_fastpath";
-  s.binary = "bench_ablation_fastpath";
   s.figure = "small-parcel fast-path ablation";
   s.expectation =
       "with the fast path on, every sub-threshold parcel rides one "
@@ -1005,7 +984,6 @@ void print_openloop_knee(const SuiteResult& result) {
 SuiteSpec openloop() {
   SuiteSpec s;
   s.name = "openloop";
-  s.binary = "bench_openloop";
   s.figure = "serving extra";
   s.title = "open-loop serving: latency knee vs offered load and admission";
   s.expectation =
@@ -1058,7 +1036,6 @@ SuiteSpec openloop() {
 SuiteSpec extra_tcp_comparison() {
   SuiteSpec s;
   s.name = "extra_tcp_comparison";
-  s.binary = "bench_extra_tcp_comparison";
   s.figure = "§1 extra";
   s.title = "TCP parcelport vs MPI vs LCI";
   s.expectation =
@@ -1146,7 +1123,6 @@ void print_collectives_speedup(const SuiteResult& result) {
 SuiteSpec ablation_collectives() {
   SuiteSpec s;
   s.name = "ablation_collectives";
-  s.binary = "bench_ablation_collectives";
   s.figure = "docs/collectives.md ablation";
   s.title =
       "collective algorithms: centralised root-gather vs the log-depth "
@@ -1204,7 +1180,6 @@ SuiteSpec ablation_collectives() {
 SuiteSpec fft() {
   SuiteSpec s;
   s.name = "fft";
-  s.binary = "bench_fft";
   s.figure = "docs/collectives.md workload";
   s.title =
       "distributed four-step FFT (row FFTs, all-to-all transpose, row FFTs) "
@@ -1281,7 +1256,6 @@ void print_backend_summary(const SuiteResult& result) {
 SuiteSpec ablation_backend() {
   SuiteSpec s;
   s.name = "ablation_backend";
-  s.binary = "bench_ablation_backend";
   s.figure = "transport-backend ablation";
   s.title =
       "fabric backends head to head: the modelled simulator vs POSIX "
@@ -1294,7 +1268,7 @@ SuiteSpec ablation_backend() {
       "and the 8 B eager rate within the same order of magnitude. The "
       "payoff is not single-pair speed but scaling: shm ranks live in "
       "separate processes, so a multi-process launch (the scaling probe "
-      "this binary runs after the suite, and amtnet_launch in general) can "
+      "of bench_ablation_backend, and amtnet_launch in general) can "
       "use every core instead of time-slicing all localities on one "
       "process's scheduler quantum";
   // Wall-clock measurements of the real machine (the shm rows especially):
@@ -1545,42 +1519,6 @@ expdriver::PointRunner make_harness_runner(const SuiteSpec& spec) {
     }
     return sample;
   };
-}
-
-int run_suite_main(const char* suite_name, int argc, char** argv) {
-  register_all();
-  const SuiteSpec* spec = SuiteRegistry::instance().find(suite_name);
-  if (spec == nullptr) {
-    std::fprintf(stderr, "unknown suite '%s'\n", suite_name);
-    return 2;
-  }
-  const RunEnv env = expdriver::run_env_from_environment();
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "unknown argument '%s' (supported: --json <file>)\n",
-                   argv[i]);
-    }
-  }
-  std::printf("# %s: %s\n", spec->figure.c_str(), spec->title.c_str());
-  std::printf("# paper expectation: %s\n", spec->expectation.c_str());
-  std::printf(
-      "# env: scale=%.2f runs=%d warmup=%d workers/locality=%u (set "
-      "AMTNET_BENCH_SCALE/RUNS/WARMUP/WORKERS to adjust)\n",
-      env.scale, env.repetitions, env.warmup, env.workers);
-  const SuiteResult result =
-      expdriver::run_suite(*spec, env, make_harness_runner(*spec));
-  if (!json_path.empty()) {
-    if (!expdriver::write_file(json_path,
-                               expdriver::results_to_json(result))) {
-      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-      return 1;
-    }
-  }
-  return 0;
 }
 
 }  // namespace bench::suites

@@ -1,26 +1,19 @@
 // Binds the declarative experiment registry (src/expdriver/) to the bench
 // harness: registers every paper figure and ablation as a suite, provides
 // the PointRunner that executes suite points through the harness (plus
-// suite telemetry probes), and the shared main() used by the thin
-// bench_fig*/bench_ablation_* wrapper binaries.
+// suite telemetry probes). `bench_suite --run <suite>` runs any of them.
 #pragma once
 
 #include "expdriver/experiment.hpp"
 
 namespace bench::suites {
 
-/// Registers every suite (idempotent). Called by run_suite_main and the
-/// bench_suite CLI; tests call it directly.
+/// Registers every suite (idempotent). Called by the bench_suite CLI;
+/// tests call it directly.
 void register_all();
 
 /// PointRunner executing a point through the bench harness; appends the
 /// telemetry-probe metrics of `spec` after each run.
 expdriver::PointRunner make_harness_runner(const expdriver::SuiteSpec& spec);
-
-/// Shared main of the wrapper binaries: prints the standard header, runs the
-/// named suite with the environment policy, and honours `--json <file>`
-/// (writes the schema-versioned suite result there). Returns the process
-/// exit code.
-int run_suite_main(const char* suite_name, int argc, char** argv);
 
 }  // namespace bench::suites

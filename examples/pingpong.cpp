@@ -3,7 +3,8 @@
 // Runs a small ping-pong exchange (one chain, like the paper's latency
 // microbenchmark with window size 1) over several Table-1 configurations
 // and prints the measured one-way latency per message size — a minimal,
-// human-readable version of what bench_fig7_latency_size measures in full.
+// human-readable version of what the fig7_latency_size suite measures in
+// full (`bench_suite --run fig7_latency_size`).
 //
 // Usage: pingpong [rounds=200]
 //

@@ -33,24 +33,6 @@ bool parse_admission_token(const std::string& token, const char* prefix,
 }  // namespace
 
 void apply_admission_env(AdmissionConfig& config) {
-  if (const char* s = std::getenv("AMTNET_ADMIT_POLICY")) {
-    const std::string policy(s);
-    if (policy == "off" || policy == "none") {
-      config.policy = AdmissionConfig::Policy::kNone;
-    } else if (policy == "shed") {
-      config.policy = AdmissionConfig::Policy::kShed;
-    } else if (policy == "block") {
-      config.policy = AdmissionConfig::Policy::kBlock;
-    } else if (policy == "deadline") {
-      config.policy = AdmissionConfig::Policy::kDeadline;
-    } else {
-      throw std::invalid_argument("AMTNET_ADMIT_POLICY must be "
-                                  "off|shed|block|deadline: " + policy);
-    }
-  }
-  if (const char* s = std::getenv("AMTNET_ADMIT_BOUND")) {
-    config.queue_bound = std::strtoull(s, nullptr, 10);
-  }
   if (const char* s = std::getenv("AMTNET_ADMIT_DEADLINE_US")) {
     config.deadline_us = std::strtod(s, nullptr);
   }

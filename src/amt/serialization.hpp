@@ -8,10 +8,14 @@
 //
 // Supported types: trivially copyable scalars/structs, std::string,
 // std::vector<T>, std::array<T, N>, std::pair, std::tuple.
+//
+// The main chunk and its sizes come from a peer, so InputArchive trusts
+// none of them: every read, every declared count and every zero-copy chunk
+// reference is checked against what actually arrived, in every build, and
+// a violation fails fast through common::integrity_fail.
 #pragma once
 
 #include <array>
-#include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -25,6 +29,7 @@
 #include <vector>
 
 #include "amt/message.hpp"
+#include "common/integrity.hpp"
 
 namespace amt {
 
@@ -189,8 +194,8 @@ class InputArchive {
         end_(msg.main_chunk.data() + msg.main_chunk.size()) {}
 
   void read_raw(void* out, std::size_t size) {
-    assert(cursor_ + size <= end_ && "archive underflow");
-    std::memcpy(out, cursor_, size);
+    require(size, 1, "read");
+    if (size != 0) std::memcpy(out, cursor_, size);
     cursor_ += size;
   }
 
@@ -204,6 +209,7 @@ class InputArchive {
   InputArchive& operator>>(std::string& value) {
     std::uint64_t size = 0;
     read_raw(&size, sizeof(size));
+    require(size, 1, "string");
     value.resize(size);
     read_raw(value.data(), size);
     return *this;
@@ -216,17 +222,28 @@ class InputArchive {
     read_raw(&marker, sizeof(marker));
     std::uint64_t count = 0;
     read_raw(&count, sizeof(count));
-    value.resize(count);
     if (marker == 0) {
+      require(count, sizeof(T), "inline vector");
+      value.resize(count);
       read_raw(value.data(), count * sizeof(T));
-    } else {
-      std::uint32_t index = 0;
-      read_raw(&index, sizeof(index));
-      assert(index < msg_.zchunks.size());
-      const auto& chunk = msg_.zchunks[index];
-      assert(chunk.size() == count * sizeof(T));
-      std::memcpy(value.data(), chunk.data(), chunk.size());
+      return *this;
     }
+    std::uint32_t index = 0;
+    read_raw(&index, sizeof(index));
+    if (index >= msg_.zchunks.size()) {
+      common::integrity_fail("archive: zchunk index ", index, " out of range (",
+                             msg_.zchunks.size(), " zchunks) from rank ",
+                             msg_.source);
+    }
+    const auto& chunk = msg_.zchunks[index];
+    if (chunk.size() % sizeof(T) != 0 || chunk.size() / sizeof(T) != count) {
+      common::integrity_fail("archive: zchunk ", index, " holds ",
+                             chunk.size(), " bytes, not ", count,
+                             " elements of ", sizeof(T), " bytes, from rank ",
+                             msg_.source);
+    }
+    value.resize(count);
+    if (count != 0) std::memcpy(value.data(), chunk.data(), chunk.size());
     return *this;
   }
 
@@ -235,6 +252,7 @@ class InputArchive {
   InputArchive& operator>>(std::vector<T>& value) {
     std::uint64_t count = 0;
     read_raw(&count, sizeof(count));
+    require(count, 1, "vector");
     value.clear();
     value.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {
@@ -289,6 +307,7 @@ class InputArchive {
   InputArchive& operator>>(Map<K, V, Rest...>& value) {
     std::uint64_t count = 0;
     read_raw(&count, sizeof(count));
+    require(count, 1, "map");
     value.clear();
     for (std::uint64_t i = 0; i < count; ++i) {
       K key;
@@ -303,6 +322,22 @@ class InputArchive {
   Rank source() const { return msg_.source; }
 
  private:
+  /// Fails fast unless `count` elements of at least `element_bytes` each
+  /// fit in the bytes left. Every encoded element takes at least one byte
+  /// (a non-trivially-copyable element carries a count, a flag or a
+  /// member), so checking a declared count this way before the resize or
+  /// reserve it drives caps the allocation at the message size.
+  void require(std::uint64_t count, std::size_t element_bytes,
+               const char* what) const {
+    const auto left = static_cast<std::size_t>(end_ - cursor_);
+    if (count > left / element_bytes) {
+      common::integrity_fail("archive underflow: ", what, " declares ", count,
+                             " x ", element_bytes, " bytes, ", left,
+                             " left in the main chunk from rank ",
+                             msg_.source);
+    }
+  }
+
   const InMessage& msg_;
   const std::byte* cursor_;
   const std::byte* end_;

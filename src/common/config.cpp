@@ -89,11 +89,12 @@ const std::vector<Knob>& knob_registry() {
       {Kind::kEnv, "AMTNET_BENCH_SCALE", "1.0",
        "multiplies every suite's message/step counts (scaled counts are "
        "clamped to >= 1)",
-       "all bench_* binaries, bench_suite"},
+       "bench_suite (pinned by CI bench-gate) and the standalone bench_* "
+       "tools"},
       {Kind::kEnv, "AMTNET_BENCH_RUNS", "2",
        "recorded repetitions per data point; the driver reports the median "
        "of N plus mean/stddev",
-       "bench_suite --run"},
+       "bench_suite --run (pinned by CI bench-gate)"},
       {Kind::kEnv, "AMTNET_BENCH_WARMUP", "1",
        "discarded leading runs per data point (cold-start: first runtime "
        "construction, allocator warm-up)",
@@ -101,66 +102,33 @@ const std::vector<Knob>& knob_registry() {
       {Kind::kEnv, "AMTNET_BENCH_WORKERS", "8",
        "worker threads per locality for suite points that do not pin their "
        "own count",
-       "all bench_* binaries"},
+       "bench_suite (pinned by CI bench-gate) and the standalone bench_* "
+       "tools"},
       {Kind::kEnv, "AMTNET_LOG", "warn",
        "stack log level: error|warn|info|debug", "any binary"},
       // -- telemetry --
       {Kind::kEnv, "AMTNET_TELEMETRY", "1",
        "0/off/false: kill switch for timing instrumentation (no clock "
        "reads, no tracing; counters stay on)",
-       "bench_overhead_probe"},
+       "bench_overhead_probe, run with AMTNET_TELEMETRY=0"},
       {Kind::kEnv, "AMTNET_TRACE_FILE", "bench_profile_trace.json",
        "where bench_profile writes its Chrome trace", "bench_profile"},
-      // -- LCI parcelport --
-      {Kind::kEnv, "AMTNET_LCI_PIPELINE_DEPTH", "0 (unbounded)",
-       "max in-flight follow-up pieces per connection when the config name "
-       "carries no pd<N> token",
-       "ablation_pipeline"},
-      {Kind::kEnv, "AMTNET_LCI_PACKET_CACHE", "32",
-       "per-thread packet-pool magazine capacity in minilci (0: every "
-       "allocation hits the shared free list)",
-       "bench_micro_ops"},
-      {Kind::kEnv, "AMTNET_LCI_PROGRESS_THREADS", "0 (unbounded)",
-       "max worker threads polling the NIC concurrently in mt mode (the "
-       "progress-ticket bound) when the config name carries no pt<K> token",
-       "ablation_progress"},
-      {Kind::kEnv, "AMTNET_LCI_RDV_SHARDS", "16",
-       "rendezvous-state table shards in minilci (rounded up to a power of "
-       "two; 1 = single global table) when the name carries no rs<N> token",
-       "ablation_progress"},
-      {Kind::kEnv, "AMTNET_LCI_FASTPATH", "1 (on)",
-       "small-parcel fast path: 0/off disables, 1/on caps at the eager "
-       "threshold, N >= 2 caps one-parcel frames (24 B envelope + payload) "
-       "at N bytes; only read when the config name carries no fp token",
-       "ablation_fastpath"},
-      {Kind::kEnv, "AMTNET_LCI_AGG", "0 (off)",
-       "adaptive aggregation: batch-frame byte cap for per-destination "
-       "coalescing of fast-path parcels under backpressure (0/off disables; "
-       "clamped to [minimum frame, eager threshold]); only read when the "
-       "config name carries no agg token",
-       "ablation_aggregation"},
-      {Kind::kEnv, "AMTNET_LCI_AGG_AGE_US", "200",
-       "adaptive aggregation: microseconds a partially filled batch may age "
-       "before it is flushed anyway (0 disables the age trigger; size, "
-       "window-stall, and idle flushes still apply); only read when the "
-       "config name carries no aggt token",
-       "ablation_aggregation"},
       // -- collectives (CollectiveGroup algorithm selection) --
       {Kind::kEnv, "AMTNET_COLL_ALGO", "auto",
        "force a collective algorithm family (central|tree|rd|ring) for ops "
        "that have a member of it; auto = payload size x locality count "
        "selection (see docs/collectives.md); overrides the coll<ALGO> "
        "config token",
-       "ablation_collectives"},
+       "test_collectives"},
       {Kind::kEnv, "AMTNET_COLL_SEG_BYTES", "8192",
        "segment size for the pipelined binomial broadcast (store-and-"
        "forward pipelining above the large-payload crossover)",
-       "ablation_collectives"},
+       "test_collectives"},
       {Kind::kEnv, "AMTNET_COLL_LARGE_BYTES", "16384",
        "small/large payload crossover: above it broadcast pipelines "
        "segments and allreduce switches from recursive doubling to the "
        "ring (bandwidth-optimal) algorithm",
-       "ablation_collectives"},
+       "test_collectives"},
       {Kind::kEnv, "AMTNET_COLL_WINDOW", "16",
        "bounded round-window slot count for in-flight collective epochs "
        "(each slot is an independently locked shard; minimum 2)",
@@ -169,46 +137,50 @@ const std::vector<Knob>& knob_registry() {
        "send-side packet-pool size in minilci (a pool of 1 forces fast-path "
        "pool exhaustion — the credit-conservation regression setup)",
        "test_amt AdmissionTest"},
-      {Kind::kEnv, "AMTNET_REL_SCAN_QUANTUM", "64",
-       "progress ticks between retransmit scans in the reliability layer "
-       "(0: scan on every progress call)",
-       "bench_chaos_sweep"},
       // -- fault injection (see docs/ and README for the full model) --
       {Kind::kEnv, "AMTNET_FAULT_DROP", "0",
-       "P(drop) per two-sided datagram", "bench_chaos_sweep, test_chaos"},
+       "P(drop) per two-sided datagram", "bench_chaos_sweep"},
       {Kind::kEnv, "AMTNET_FAULT_DUP", "0",
        "P(duplicate delivery) per datagram", "bench_chaos_sweep"},
       {Kind::kEnv, "AMTNET_FAULT_CORRUPT", "0",
        "P(single bit-flip) per payload", "bench_chaos_sweep"},
       {Kind::kEnv, "AMTNET_FAULT_CORRUPT_MIN", "0",
-       "only corrupt payloads >= this size (bytes)", "test_chaos"},
+       "only corrupt payloads >= this size (bytes)",
+       "test_chaos (via FaultConfig)"},
       {Kind::kEnv, "AMTNET_FAULT_DELAY", "0",
-       "P(latency spike) per packet", "bench_chaos_sweep"},
+       "P(latency spike) per packet",
+       "test_chaos (via FaultConfig)"},
       {Kind::kEnv, "AMTNET_FAULT_DELAY_US", "50",
-       "latency-spike magnitude (microseconds)", "bench_chaos_sweep"},
+       "latency-spike magnitude (microseconds)",
+       "test_chaos (via FaultConfig)"},
       {Kind::kEnv, "AMTNET_FAULT_BROWNOUT", "0",
-       "P(entering a brownout) per post", "bench_chaos_sweep"},
+       "P(entering a brownout) per post",
+       "test_chaos (via FaultConfig)"},
       {Kind::kEnv, "AMTNET_FAULT_BROWNOUT_POSTS", "64",
-       "posts rejected (kRetry) per brownout", "test_chaos"},
+       "posts rejected (kRetry) per brownout",
+       "test_chaos (via FaultConfig)"},
       {Kind::kEnv, "AMTNET_FAULT_RNR", "0",
-       "P(entering an RNR storm) per poll", "bench_chaos_sweep"},
+       "P(entering an RNR storm) per poll",
+       "test_chaos (via FaultConfig)"},
       {Kind::kEnv, "AMTNET_FAULT_RNR_POLLS", "32",
-       "polls stalled per RNR storm", "test_chaos"},
+       "polls stalled per RNR storm",
+       "test_chaos (via FaultConfig)"},
       {Kind::kEnv, "AMTNET_FAULT_SEED", "fixed constant",
-       "seed of the deterministic fault streams (any u64)", "test_chaos"},
+       "seed of the deterministic fault streams (any u64)",
+       "bench_chaos_sweep"},
       {Kind::kEnv, "AMTNET_FAULT_INTEGRITY", "0",
        "1: arm the CRC/sequence integrity layer with all fault "
        "probabilities 0",
        "bench_chaos_sweep"},
       {Kind::kEnv, "AMTNET_CHAOS_SEEDS", "1..8 in CI",
        "comma-separated seed sweep for the chaos test harness",
-       "test_chaos"},
+       "CI chaos-smoke (test_chaos)"},
       // -- transport backends (sim | shm) and multi-process launch --
       {Kind::kEnv, "AMTNET_BACKEND", "sim",
        "fabric transport backend: sim (in-process simulated RDMA fabric) or "
        "shm (real POSIX shared-memory fabric); overrides the backend<name> "
        "config token and StackOptions",
-       "ablation_backend"},
+       "amtnet_launch, test_backends"},
       {Kind::kEnv, "AMTNET_SHM_RANK", "-1 (single-process)",
        "shm backend: the locality rank hosted by THIS process; set per "
        "process by amtnet_launch. Unset/-1 constructs every rank in one "
@@ -225,7 +197,7 @@ const std::vector<Knob>& knob_registry() {
       {Kind::kEnv, "AMTNET_SHM_RING_DEPTH", "256",
        "shm backend: slots per directed per-pair ring (rounded up to a "
        "power of two); each slot holds one eager datagram",
-       "ablation_backend"},
+       "test_backends"},
       {Kind::kEnv, "AMTNET_SHM_FORCE_FALLBACK", "0",
        "shm backend: 1 disables the direct (same-process) and cross-memory "
        "attach copy modes so one-sided put/get takes the segmented "
@@ -239,15 +211,6 @@ const std::vector<Knob>& knob_registry() {
        "number of CPUs in this process's affinity range",
        "amtnet_launch"},
       // -- serving path: admission control and the open-loop load generator --
-      {Kind::kEnv, "AMTNET_ADMIT_POLICY", "off",
-       "send-path admission policy override: off|shed|block|deadline "
-       "(config-name tokens take precedence)",
-       "openloop"},
-      {Kind::kEnv, "AMTNET_ADMIT_BOUND", "64",
-       "per-destination admission window: parcels accepted but not yet "
-       "executed at the destination (credits return from the destination's "
-       "handler, so the window spans the whole serving path)",
-       "openloop"},
       {Kind::kEnv, "AMTNET_ADMIT_DEADLINE_US", "1000",
        "deadline policy: max queue age in microseconds before a parcel is "
        "dropped at flush time",
@@ -255,7 +218,7 @@ const std::vector<Knob>& knob_registry() {
       {Kind::kEnv, "AMTNET_LOADGEN_SEED", "2026",
        "overrides the open-loop arrival-schedule seed (the schedule is "
        "bit-for-bit reproducible per seed)",
-       "openloop"},
+       "test_loadgen"},
       // -- parcelport config-name tokens (Table 1 + ablations) --
       {Kind::kConfigToken, "mpi | lci | tcp", "lci",
        "backend selection prefix of the configuration name",

@@ -42,8 +42,8 @@ std::vector<std::string> split_trim(const std::string& text, char delim);
 // experiment driver enumerates this table to build config matrices and
 // `bench_suite --render` generates the knob tables in docs/tuning.md from
 // it, so the documentation cannot drift from the knobs the code reads
-// (tests/test_expdriver.cpp asserts every AMTNET_* getenv in the tree is
-// registered).
+// (tests/test_expdriver.cpp asserts both directions: every AMTNET_* name in
+// the tree is registered, and every registered variable is read).
 
 struct Knob {
   enum class Kind { kEnv, kConfigToken, kCMake };
@@ -51,7 +51,7 @@ struct Knob {
   std::string name;           // "AMTNET_BENCH_SCALE", "pd<N>", ...
   std::string default_value;  // human-readable default
   std::string description;
-  std::string demo;           // benchmark / suite that demonstrates it
+  std::string demo;           // suite, test or tool that sets it
 };
 
 /// The full knob table, in stable documentation order (env vars, then

@@ -147,7 +147,6 @@ using PointRunner = std::function<Sample(const PointSpec&, const RunEnv&)>;
 
 struct SuiteSpec {
   std::string name;    // e.g. "fig1_msgrate_8b" -> BENCH_fig1_msgrate_8b.json
-  std::string binary;  // e.g. "bench_fig1_msgrate_8b"
   std::string figure;  // "Figure 1", "§7.2 ablation", ...
   std::string title;        // one-line description (bench header)
   std::string expectation;  // the paper's qualitative expectation

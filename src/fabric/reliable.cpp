@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <string>
@@ -18,13 +17,6 @@ namespace {
 
 std::string ep_metric(const char* layer, Rank rank, const char* leaf) {
   return std::string("reliable/") + layer + std::to_string(rank) + "/" + leaf;
-}
-
-std::uint64_t resolve_scan_quantum() {
-  if (const char* s = std::getenv("AMTNET_REL_SCAN_QUANTUM")) {
-    return std::strtoull(s, nullptr, 10);
-  }
-  return 64;  // kRtoBaseTicks / 8: worst case adds 12.5% to the base RTO
 }
 
 std::uint32_t trailer_crc(const void* data, std::size_t len,
@@ -48,7 +40,6 @@ ReliableEndpoint::ReliableEndpoint(Fabric& fabric, Rank rank,
       rto_ns_base_(static_cast<common::Nanos>(
                        fabric.config().latency_us * 1000.0 * 32.0) +
                    20 * 1000),
-      scan_quantum_(resolve_scan_quantum()),
       ctr_data_sent_(fabric.telemetry().counter(
           ep_metric(layer, rank, "data_sent"))),
       ctr_acked_(fabric.telemetry().counter(ep_metric(layer, rank, "acked"))),
@@ -217,7 +208,7 @@ void ReliableEndpoint::progress() {
   // else returns after the two atomics above.
   std::uint64_t next = next_scan_tick_.load(std::memory_order_relaxed);
   if (tick < next) return;
-  if (!next_scan_tick_.compare_exchange_strong(next, tick + scan_quantum_,
+  if (!next_scan_tick_.compare_exchange_strong(next, tick + kScanQuantum,
                                                std::memory_order_acq_rel)) {
     return;  // a concurrent caller won this quantum's scan
   }

@@ -75,10 +75,9 @@ class ReliableEndpoint {
 
   /// Drives acks and retransmits; call from the owning layer's progress.
   /// The retransmit scan (walking every per-peer TX map under its lock) is
-  /// time-gated: it runs at most once per scan quantum of progress ticks
-  /// (AMTNET_REL_SCAN_QUANTUM, default kRtoBaseTicks/8), with one caller
-  /// elected per quantum — nothing can time out between quanta, so the
-  /// other progress threads skip the walk entirely.
+  /// time-gated: it runs at most once per kScanQuantum progress ticks, with
+  /// one caller elected per quantum — nothing can time out between quanta,
+  /// so the other progress threads skip the walk entirely.
   void progress();
 
   /// Unacked datagrams currently tracked (diagnostics / drain checks).
@@ -90,6 +89,9 @@ class ReliableEndpoint {
   // Retransmit timeout in progress ticks, doubling per attempt. Ticks are
   // cheap (every idle worker loop calls progress), so the base is generous.
   static constexpr std::uint64_t kRtoBaseTicks = 512;
+  // Progress ticks between retransmit scans: at worst a timeout is noticed
+  // kRtoBaseTicks / 8 late, adding 12.5% to the base RTO.
+  static constexpr std::uint64_t kScanQuantum = kRtoBaseTicks / 8;
   // How many out-of-order arrivals each source tracks before presuming the
   // oldest gap is a burned sequence number (see file comment).
   static constexpr std::size_t kMaxSeenWindow = 4096;
@@ -132,7 +134,6 @@ class ReliableEndpoint {
   std::vector<std::unique_ptr<RxState>> rx_;
 
   std::atomic<std::uint64_t> tick_{0};
-  const std::uint64_t scan_quantum_;  // ticks between retransmit scans
                                       // (0 = scan on every progress call)
   std::atomic<std::uint64_t> next_scan_tick_{0};
 

@@ -87,8 +87,10 @@ struct Config {
 ///   AMTNET_SHM_RANK         rank hosted by this process (multi-process mode)
 ///   AMTNET_SHM_SESSION      rendezvous namespace (set by amtnet_launch)
 ///   AMTNET_SHM_RING_DEPTH   slots per directed per-pair ring
-/// (AMTNET_SHM_RANKS is consumed one level up, by amt::make_runtime_config,
-/// because it overrides the locality count, not a fabric field.)
+/// (AMTNET_SHM_RANKS is consumed one level up, by
+/// amtnet::make_runtime_config, because it overrides the locality count, not
+/// a fabric field.) Only make_runtime_config calls this: a Fabric built
+/// straight from a Config uses Config::backend as given.
 void apply_backend_env(Config& config);
 
 /// Throws std::invalid_argument unless name is "sim" or "shm".

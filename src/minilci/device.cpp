@@ -86,7 +86,7 @@ Device::Device(fabric::Fabric& fabric, Rank rank, Config config,
       rel_(fabric, rank, "lci"),
       integrity_on_(fabric.config().faults.integrity_on()),
       packet_pool_(config.packet_pool_size, config.eager_threshold,
-                   config.packet_cache_size),
+                   kPacketCacheSize),
       rdv_sends_(config.rdv_shards),
       rdv_recvs_(config.rdv_shards),
       put_sends_(config.rdv_shards),

@@ -34,12 +34,14 @@ using Tag = std::uint32_t;
 /// active-message style, used by the parcelport's small-parcel fast path.
 inline constexpr Tag kFastpathTag = 0xFFFFFFFFu;
 
+/// Per-slot packet-pool magazine capacity (LCI's per-thread packet cache):
+/// a slot refills and drains its magazine in halves, so most allocations
+/// never touch the shared MPMC free list.
+inline constexpr std::size_t kPacketCacheSize = 32;
+
 struct Config {
   std::size_t eager_threshold = 8192;   // max medium-message payload
   std::size_t packet_pool_size = 4096;  // send-side packet buffers
-  std::size_t packet_cache_size = 32;   // per-slot magazine capacity
-                                        // (0 = every alloc hits the shared
-                                        // MPMC free list)
   std::size_t progress_batch = 64;      // fabric packets per progress call
   std::size_t rdv_shards = 16;          // rendezvous-state table shards
                                         // (rounded up to a power of two;

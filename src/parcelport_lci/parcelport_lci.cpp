@@ -15,14 +15,9 @@ namespace pplci {
 
 namespace {
 minilci::Config make_device_config(const amt::ParcelportContext& context) {
-  minilci::Config config;
   // The LCI eager threshold stays at its default; the header message must
   // fit in one medium message, so the header cap below accounts for both.
-  (void)context;
-  if (const char* s = std::getenv("AMTNET_LCI_PACKET_CACHE")) {
-    config.packet_cache_size =
-        static_cast<std::size_t>(std::strtoul(s, nullptr, 10));
-  }
+  minilci::Config config;
   // Send-side packet pool size (primarily a test knob: a pool of 1 forces
   // fast-path pool exhaustion to pin the fallback/credit-conservation
   // behaviour).
@@ -31,60 +26,21 @@ minilci::Config make_device_config(const amt::ParcelportContext& context) {
         static_cast<std::size_t>(std::strtoul(s, nullptr, 10));
     if (pool > 0) config.packet_pool_size = pool;
   }
-  // Rendezvous-state shard count: the config token ("rs<N>") wins, the
-  // environment fills in, the minilci default otherwise. rs1 collapses the
-  // sharded tables to one table + lock (the ablation baseline).
+  // Rendezvous-state shard count: the "rs<N>" token, else the minilci
+  // default. rs1 collapses the sharded tables to one table + lock (the
+  // ablation baseline).
   if (context.config.lci_rdv_shards > 0) {
     config.rdv_shards = context.config.lci_rdv_shards;
-  } else if (const char* s = std::getenv("AMTNET_LCI_RDV_SHARDS")) {
-    const std::size_t shards =
-        static_cast<std::size_t>(std::strtoul(s, nullptr, 10));
-    if (shards > 0) config.rdv_shards = shards;
   }
   return config;
 }
 
-int resolve_progress_threads(const amt::ParcelportConfig& config) {
-  if (config.lci_progress_threads > 0) {
-    return static_cast<int>(config.lci_progress_threads);
-  }
-  if (const char* s = std::getenv("AMTNET_LCI_PROGRESS_THREADS")) {
-    return static_cast<int>(std::strtoul(s, nullptr, 10));
-  }
-  return 0;  // unbounded
-}
-
-std::size_t resolve_pipeline_depth(const amt::ParcelportConfig& config) {
-  // The config name ("pd<N>" token) wins; the environment only fills in
-  // when the name leaves the depth unbounded.
-  if (config.lci_pipeline_depth > 0) return config.lci_pipeline_depth;
-  if (const char* s = std::getenv("AMTNET_LCI_PIPELINE_DEPTH")) {
-    return static_cast<std::size_t>(std::strtoul(s, nullptr, 10));
-  }
-  return 0;
-}
-
 std::size_t resolve_fastpath_cap(const amt::ParcelportConfig& config,
                                  std::size_t eager_threshold) {
-  // The config name ("fp"/"fp<N>"/"fpoff" token) wins; the environment fills
-  // in otherwise; the default is ON at the eager threshold. The cap bounds
-  // the *whole frame* (header + every payload byte) and can never exceed
-  // one medium message.
-  long value = config.lci_fastpath;
-  if (value < 0) {
-    value = 1;
-    if (const char* s = std::getenv("AMTNET_LCI_FASTPATH")) {
-      const std::string text(s);
-      if (text == "0" || text == "off" || text == "false") {
-        value = 0;
-      } else if (text == "1" || text == "on" || text == "true") {
-        value = 1;
-      } else {
-        value = std::strtol(text.c_str(), nullptr, 10);
-        if (value < 0) value = 1;
-      }
-    }
-  }
+  // The "fp"/"fp<N>"/"fpoff" token; without one the fast path is ON at the
+  // eager threshold. The cap bounds the *whole frame* (header + every
+  // payload byte) and can never exceed one medium message.
+  const long value = config.lci_fastpath < 0 ? 1 : config.lci_fastpath;
   if (value == 0) return 0;
   if (value == 1) return eager_threshold;
   if (static_cast<std::size_t>(value) > eager_threshold) {
@@ -103,48 +59,19 @@ std::size_t resolve_fastpath_cap(const amt::ParcelportConfig& config,
 
 std::size_t resolve_agg_cap(const amt::ParcelportConfig& config,
                             std::size_t eager_threshold) {
-  // The config name ("agg<N>"/"aggoff" token) wins; the environment fills in
-  // otherwise; the default is OFF (aggregation is opt-in — it changes frame
-  // timing, so the historical configurations stay bit-identical). The cap
-  // bounds the whole batch frame and can never exceed one medium message.
-  long value = config.lci_agg;
-  if (value < 0) {
-    value = 0;
-    if (const char* s = std::getenv("AMTNET_LCI_AGG")) {
-      const std::string text(s);
-      if (text == "0" || text == "off" || text == "false") {
-        value = 0;
-      } else {
-        value = std::strtol(text.c_str(), nullptr, 10);
-        if (value < 0) value = 0;
-      }
-    }
-  }
-  if (value == 0) return 0;
-  if (static_cast<std::size_t>(value) < amt::kMinAggFrameBytes) {
-    // Config-name tokens are rejected at parse; this catches the env path.
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true, std::memory_order_relaxed)) {
-      AMTNET_LOG_WARN("pplci: AMTNET_LCI_AGG=", value,
-                      " is below the minimum one-parcel batch frame (",
-                      amt::kMinAggFrameBytes, " bytes) — raising to ",
-                      amt::kMinAggFrameBytes);
-    }
-    value = static_cast<long>(amt::kMinAggFrameBytes);
-  }
-  return std::min(static_cast<std::size_t>(value), eager_threshold);
+  // The "agg<N>"/"aggoff" token; without one aggregation is OFF (it is
+  // opt-in — it changes frame timing, so the historical configurations stay
+  // bit-identical). Caps below the minimum frame are rejected at parse. The
+  // cap bounds the whole batch frame and can never exceed one medium
+  // message.
+  if (config.lci_agg <= 0) return 0;
+  return std::min(static_cast<std::size_t>(config.lci_agg), eager_threshold);
 }
 
 common::Nanos resolve_agg_age_ns(const amt::ParcelportConfig& config) {
-  // "aggt<USEC>" token wins, AMTNET_LCI_AGG_AGE_US fills in, default 200 µs.
-  // 0 disables the age trigger (size/idle/final flushes still apply).
-  long value = config.lci_agg_age_us;
-  if (value < 0) {
-    if (const char* s = std::getenv("AMTNET_LCI_AGG_AGE_US")) {
-      value = std::strtol(s, nullptr, 10);
-    }
-  }
-  if (value < 0) value = 200;
+  // The "aggt<USEC>" token, default 200 µs. 0 disables the age trigger
+  // (size/idle/final flushes still apply).
+  const long value = config.lci_agg_age_us < 0 ? 200 : config.lci_agg_age_us;
   return static_cast<common::Nanos>(value) * 1000;
 }
 
@@ -161,8 +88,9 @@ LciParcelport::LciParcelport(const amt::ParcelportContext& context)
       max_header_size_(std::min(
           std::max(context.zero_copy_threshold, sizeof(amt::WireHeader)),
           make_device_config(context).eager_threshold)),
-      pipeline_depth_(resolve_pipeline_depth(context.config)),
-      progress_threads_(resolve_progress_threads(context.config)),
+      pipeline_depth_(context.config.lci_pipeline_depth),
+      progress_threads_(
+          static_cast<int>(context.config.lci_progress_threads)),
       fastpath_cap_(resolve_fastpath_cap(
           context.config, make_device_config(context).eager_threshold)),
       agg_cap_(resolve_agg_cap(context.config,

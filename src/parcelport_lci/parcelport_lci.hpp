@@ -36,7 +36,7 @@
 //   * send-immediate `_i`   — handled above this layer (parcel queue and
 //                             connection cache bypass in amt::Locality),
 //   * pipeline   pd<N>      — follow-up pipeline depth (pdinf/absent =
-//                             unbounded; also AMTNET_LCI_PIPELINE_DEPTH),
+//                             unbounded),
 //   * fast path  fp/fpoff   — small-parcel put-with-completion (below),
 //   * aggregation agg<N>/aggt<U>/aggoff — adaptive per-destination
 //                             coalescing of small parcels (below).
@@ -48,19 +48,18 @@
 // context: no ReceiverConnection, no follow-up tag allocation, no
 // completion-queue round trip. One handler verifies each frame (CRC-32 plus
 // the per-channel seq shared with header messages) and delivers its parcels.
-//   * Fast path (fp<N> token / AMTNET_LCI_FASTPATH, on by default, capped at
-//     the eager threshold): a message whose frame fits under the cap is sent
-//     as a frame of one. Larger messages take the unchanged header +
-//     follow-up path (counted under pplci/*/fastpath_fallbacks).
-//   * Adaptive aggregation (agg<BYTES> token / AMTNET_LCI_AGG, off by
-//     default): fast-path-sized parcels bound for a *backpressured*
-//     destination (admission credits outstanding —
-//     ParcelportContext::queue_depth) are coalesced in a per-destination
-//     amt::Aggregator buffer and travel as one frame of many, amortizing
-//     per-message injection overhead across the batch. Frames flush on a
-//     size cap, an age deadline (aggt<USEC> / AMTNET_LCI_AGG_AGE_US), idle
-//     background work, or stop(). When the destination is idle, parcels
-//     keep taking the fast path unbuffered.
+//   * Fast path (fp<N> token, on by default, capped at the eager
+//     threshold): a message whose frame fits under the cap is sent as a
+//     frame of one. Larger messages take the unchanged header + follow-up
+//     path (counted under pplci/*/fastpath_fallbacks).
+//   * Adaptive aggregation (agg<BYTES> token, off by default):
+//     fast-path-sized parcels bound for a *backpressured* destination
+//     (admission credits outstanding — ParcelportContext::queue_depth) are
+//     coalesced in a per-destination amt::Aggregator buffer and travel as
+//     one frame of many, amortizing per-message injection overhead across
+//     the batch. Frames flush on a size cap, an age deadline (aggt<USEC>
+//     token), idle background work, or stop(). When the destination is
+//     idle, parcels keep taking the fast path unbuffered.
 #pragma once
 
 #include <array>

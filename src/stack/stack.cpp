@@ -50,8 +50,9 @@ amt::RuntimeConfig make_runtime_config(const StackOptions& options) {
   if (options.fabric_rails != 0) config.fabric.num_rails = options.fabric_rails;
   config.fabric.faults = options.faults;
   fabric::apply_fault_env(config.fabric.faults);
-  // Backend resolution: AMTNET_BACKEND env > StackOptions::backend >
-  // backend<name> config token > "sim".
+  // Backend resolution, the one setting kept at four levels because
+  // amtnet_launch selects shm for every rank through AMTNET_BACKEND:
+  // AMTNET_BACKEND > StackOptions::backend > backend<name> token > "sim".
   if (!options.backend.empty()) {
     fabric::validate_backend_name(options.backend);
     config.parcelport.fabric_backend = options.backend;

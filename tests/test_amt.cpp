@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -195,6 +196,44 @@ TEST(Serialization, MapsRoundTrip) {
   EXPECT_EQ(got_ordered, ordered);
   EXPECT_EQ(got_unordered, unordered);
   EXPECT_TRUE(in.exhausted());
+}
+
+// A peer's main chunk is untrusted even when its CRC checks out: declared
+// counts and zero-copy chunk references must be bounded by what arrived.
+TEST(SerializationDeathTest, OverdeclaredVectorCountFailsFast) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  OutputArchive out;
+  out << std::vector<int>{1, 2};
+  auto msg = to_inmessage(out.finish());
+  // Inline layout: u8 marker, u64 count, elements. Claim 64 elements while
+  // only two arrived.
+  const std::uint64_t count = 64;
+  std::memcpy(msg.main_chunk.data() + 1, &count, sizeof(count));
+  EXPECT_DEATH(
+      {
+        InputArchive in(msg);
+        std::vector<int> got;
+        in >> got;
+      },
+      "INTEGRITY FAILURE: archive underflow: inline vector declares 64");
+}
+
+TEST(SerializationDeathTest, OutOfRangeZchunkIndexFailsFast) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  OutputArchive out(/*zero_copy_threshold=*/8);
+  out << std::vector<std::uint8_t>(100, 7);
+  auto msg = to_inmessage(out.finish());
+  ASSERT_EQ(msg.zchunks.size(), 1u);
+  // Zero-copy layout: u8 marker, u64 count, u32 chunk index.
+  const std::uint32_t index = 5;
+  std::memcpy(msg.main_chunk.data() + 9, &index, sizeof(index));
+  EXPECT_DEATH(
+      {
+        InputArchive in(msg);
+        std::vector<std::uint8_t> got;
+        in >> got;
+      },
+      "INTEGRITY FAILURE: archive: zchunk index 5 out of range");
 }
 
 // ---------------- scheduler ----------------

@@ -1,20 +1,22 @@
 // Tests for the experiment driver (src/expdriver/) and its binding to the
 // bench suite registry (bench/suites.cpp):
-//   * the declarative registry matches the benchmark binaries that actually
-//     exist on disk (no phantom suites, no unregistered benchmarks),
+//   * every registered suite has unique point identities,
 //   * the schema-versioned results JSON round-trips byte-for-byte,
 //   * the baseline comparator flags real regressions and tolerates noise,
 //     in the right direction per metric,
 //   * the docs renderer is idempotent (byte-identical on unchanged input),
 //   * the driver applies the uniform warmup/median-of-N policy,
-//   * the knob registry covers every AMTNET_* environment variable read
-//     anywhere in the tree (docs/tuning.md cannot silently go stale).
+//   * the knob registry and the tree agree in both directions: every
+//     AMTNET_* name the tree reads is registered, and every registered
+//     environment variable is read somewhere (docs/tuning.md cannot
+//     silently go stale).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -51,52 +53,7 @@ std::string read_all(const std::string& path) {
   return out.str();
 }
 
-// ---- suite registry vs on-disk benchmarks ---------------------------------
-
-/// Binary names declared via amtnet_add_bench(...) in bench/CMakeLists.txt
-/// that belong to the registry (figure/ablation/extra benches; standalone
-/// tools like bench_profile are exempt).
-std::set<std::string> registry_binaries_from_cmake() {
-  const std::string cmake =
-      read_all(std::string(AMTNET_REPO_ROOT) + "/bench/CMakeLists.txt");
-  std::set<std::string> names;
-  const std::string needle = "amtnet_add_bench(";
-  for (std::size_t pos = cmake.find(needle); pos != std::string::npos;
-       pos = cmake.find(needle, pos + 1)) {
-    const std::size_t begin = pos + needle.size();
-    const std::size_t end = cmake.find(')', begin);
-    if (end == std::string::npos) break;
-    const std::string name = cmake.substr(begin, end - begin);
-    if (name.rfind("bench_fig", 0) == 0 ||
-        name.rfind("bench_ablation_", 0) == 0 ||
-        name.rfind("bench_extra_", 0) == 0 ||
-        name.rfind("bench_openloop", 0) == 0 ||
-        name.rfind("bench_fft", 0) == 0) {
-      names.insert(name);
-    }
-  }
-  return names;
-}
-
-TEST(SuiteRegistry, MatchesOnDiskBenchmarks) {
-  bench::suites::register_all();
-  const std::set<std::string> on_disk = registry_binaries_from_cmake();
-  ASSERT_FALSE(on_disk.empty()) << "failed to parse bench/CMakeLists.txt";
-
-  std::set<std::string> registered;
-  for (const SuiteSpec* spec : SuiteRegistry::instance().all()) {
-    EXPECT_TRUE(registered.insert(spec->binary).second)
-        << "duplicate binary " << spec->binary;
-    // The wrapper source must exist and actually reference the suite.
-    const std::string source = read_all(std::string(AMTNET_REPO_ROOT) +
-                                        "/bench/" + spec->binary + ".cpp");
-    ASSERT_FALSE(source.empty()) << "missing source for " << spec->binary;
-    EXPECT_NE(source.find("\"" + spec->name + "\""), std::string::npos)
-        << spec->binary << ".cpp does not run suite " << spec->name;
-  }
-  EXPECT_EQ(registered, on_disk)
-      << "suite registry and bench/CMakeLists.txt disagree";
-}
+// ---- suite registry -----------------------------------------------------
 
 TEST(SuiteRegistry, PointLabelsAreUniqueWithinEachSuite) {
   bench::suites::register_all();
@@ -130,7 +87,6 @@ TEST(SuiteRegistry, FindUnknownReturnsNull) {
 SuiteSpec stub_suite() {
   SuiteSpec spec;
   spec.name = "stub";
-  spec.binary = "bench_stub";
   spec.figure = "Figure 0";
   spec.title = "stub";
   PointSpec a;
@@ -423,50 +379,65 @@ TEST(Render, CommittedDocsCarryTheMarkers) {
 
 // ---- knob registry vs the tree --------------------------------------------
 
+/// Every "AMTNET_[A-Z0-9_]+" string literal in the sources under src/,
+/// bench/, tools/ and tests/ — getenv/setenv calls and the env_size/env_u64/
+/// env_double helpers alike — except the knob registry's own table.
+std::set<std::string> environment_names_in_tree() {
+  const std::string root = AMTNET_REPO_ROOT;
+  const std::filesystem::path registry_file =
+      std::filesystem::path(root) / "src/common/config.cpp";
+  const std::regex literal("\"(AMTNET_[A-Z0-9_]+)\"");
+  std::set<std::string> names;
+  for (const char* dir : {"/src", "/bench", "/tools", "/tests"}) {
+    const std::string base = root + dir;
+    if (!std::filesystem::exists(base)) continue;
+    for (const auto& entry :
+         std::filesystem::recursive_directory_iterator(base)) {
+      const std::string ext = entry.path().extension().string();
+      if (ext != ".cpp" && ext != ".hpp") continue;
+      if (std::filesystem::equivalent(entry.path(), registry_file)) continue;
+      const std::string text = read_all(entry.path().string());
+      for (std::sregex_iterator it(text.begin(), text.end(), literal), end;
+           it != end; ++it) {
+        names.insert((*it)[1].str());
+      }
+    }
+  }
+  return names;
+}
+
+std::string joined(const std::vector<std::string>& names) {
+  std::string out;
+  for (const auto& name : names) out += name + " ";
+  return out;
+}
+
 TEST(KnobRegistry, CoversEveryEnvironmentVariableReadInTheTree) {
   std::set<std::string> known;
   for (const common::Knob& knob : common::knob_registry()) {
     if (knob.kind == common::Knob::Kind::kEnv) known.insert(knob.name);
   }
   ASSERT_FALSE(known.empty());
-
-  // Scan every source file for getenv("AMTNET_...") reads.
-  std::set<std::string> used;
-  const std::string root = AMTNET_REPO_ROOT;
-  for (const char* dir : {"/src", "/bench", "/tools"}) {
-    const std::string base = root + dir;
-    if (!std::filesystem::exists(base)) continue;
-    for (const auto& entry :
-         std::filesystem::recursive_directory_iterator(base)) {
-      const std::string path = entry.path().string();
-      if (path.size() < 4) continue;
-      const std::string ext = entry.path().extension().string();
-      if (ext != ".cpp" && ext != ".hpp") continue;
-      const std::string text = read_all(path);
-      const std::string needle = "getenv(\"AMTNET_";
-      for (std::size_t pos = text.find(needle); pos != std::string::npos;
-           pos = text.find(needle, pos + 1)) {
-        const std::size_t begin = pos + std::string("getenv(\"").size();
-        const std::size_t end = text.find('"', begin);
-        if (end != std::string::npos) used.insert(text.substr(begin, end - begin));
-      }
-      // Composite reads (env_double("AMTNET_FAULT_" + name)) are listed in
-      // the registry individually; cover the direct string literals here.
-    }
-  }
+  const std::set<std::string> used = environment_names_in_tree();
   ASSERT_FALSE(used.empty());
-  std::vector<std::string> missing;
+
+  std::vector<std::string> unregistered;
   for (const std::string& name : used) {
-    if (known.count(name) == 0) missing.push_back(name);
+    if (known.count(name) == 0) unregistered.push_back(name);
   }
-  EXPECT_TRUE(missing.empty())
-      << "environment variables read in the tree but absent from "
+  EXPECT_TRUE(unregistered.empty())
+      << "environment variables named in the tree but absent from "
          "common::knob_registry() (docs/tuning.md would go stale): "
-      << [&] {
-           std::string joined;
-           for (const auto& name : missing) joined += name + " ";
-           return joined;
-         }();
+      << joined(unregistered);
+
+  std::vector<std::string> stale;
+  for (const std::string& name : known) {
+    if (used.count(name) == 0) stale.push_back(name);
+  }
+  EXPECT_TRUE(stale.empty())
+      << "common::knob_registry() rows that nothing in the tree reads "
+         "(delete the row, docs/tuning.md follows): "
+      << joined(stale);
 }
 
 TEST(KnobRegistry, NamesAreUniqueAndDescribed) {
