@@ -37,9 +37,15 @@ inline constexpr std::size_t kDefaultZeroCopyThreshold = 8192;
 
 class OutputArchive {
  public:
+  /// Capacity reserved for the main chunk up front: a small parcel's whole
+  /// main chunk fits, so it is written without growing the buffer.
+  static constexpr std::size_t kFirstBlockBytes = 128;
+
   explicit OutputArchive(std::size_t zero_copy_threshold =
                              kDefaultZeroCopyThreshold)
-      : threshold_(zero_copy_threshold) {}
+      : threshold_(zero_copy_threshold) {
+    main_.reserve(kFirstBlockBytes);
+  }
 
   std::size_t zero_copy_threshold() const { return threshold_; }
 

@@ -162,8 +162,9 @@ LciParcelport::LciParcelport(const amt::ParcelportContext& context)
 
 LciParcelport::~LciParcelport() {
   stop();
-  while (auto connection = sender_pool_.try_pop()) delete *connection;
-  while (auto connection = receiver_pool_.try_pop()) delete *connection;
+  // Pooled connections and those whose completions never ran (still queued
+  // in comp_cq_ at stop) are all in owned_.
+  for (Connection* connection : owned_) delete connection;
   while (auto sync = sync_pool_.try_pop()) delete *sync;
   for (auto& shard : sync_shards_) {
     for (minilci::Synchronizer* sync : shard.value.pending) delete sync;
@@ -198,8 +199,12 @@ void LciParcelport::stop() {
 }
 
 void LciParcelport::progress_thread_loop() {
-  // The HPX resource partitioner pins the progress thread at core 0.
-  common::pin_current_thread(0);
+  // The HPX resource partitioner pins the progress thread at core 0. Under
+  // a configured per-process CPU range (amtnet_launch) the workers own slots
+  // [0, num_workers), so the progress thread takes the next slot instead of
+  // sharing worker 0's core (pin_current_thread wraps within the range).
+  const bool ranged = common::process_cpu_range().configured;
+  common::pin_current_thread(ranged ? context_.num_workers : 0);
   common::set_current_thread_name("lci-progress");
   while (!progress_stop_.load(std::memory_order_relaxed)) {
     if (device_.progress() == 0) std::this_thread::yield();
@@ -226,32 +231,28 @@ minilci::Comp LciParcelport::make_comp() {
   return comp;
 }
 
-LciParcelport::SenderConnection* LciParcelport::acquire_sender() {
-  if (auto connection = sender_pool_.try_pop()) {
+template <typename C>
+C* LciParcelport::acquire(queues::MpmcQueue<C*>& pool) {
+  if (auto connection = pool.try_pop()) {
     ctr_conn_reuses_.add();
     return *connection;
   }
   ctr_conn_allocs_.add();
-  return new SenderConnection();
+  auto* connection = new C();
+  std::lock_guard<common::SpinMutex> guard(owned_mutex_);
+  owned_.insert(connection);
+  return connection;
 }
 
-LciParcelport::ReceiverConnection* LciParcelport::acquire_receiver() {
-  if (auto connection = receiver_pool_.try_pop()) {
-    ctr_conn_reuses_.add();
-    return *connection;
+template <typename C>
+void LciParcelport::recycle(queues::MpmcQueue<C*>& pool, C* connection) {
+  connection->reset();
+  if (pool.try_push(connection)) return;
+  {
+    std::lock_guard<common::SpinMutex> guard(owned_mutex_);
+    owned_.erase(connection);
   }
-  ctr_conn_allocs_.add();
-  return new ReceiverConnection();
-}
-
-void LciParcelport::recycle(SenderConnection* connection) {
-  connection->reset();
-  if (!sender_pool_.try_push(connection)) delete connection;
-}
-
-void LciParcelport::recycle(ReceiverConnection* connection) {
-  connection->reset();
-  if (!receiver_pool_.try_push(connection)) delete connection;
+  delete connection;
 }
 
 std::uint32_t LciParcelport::alloc_tags(std::size_t count) {
@@ -301,6 +302,10 @@ void LciParcelport::send_backoff(unsigned& round) {
   ++round;
 }
 
+void LciParcelport::record_send_ns(common::Nanos start) {
+  hist_send_ns_.record(static_cast<std::uint64_t>(common::now_ns() - start));
+}
+
 bool LciParcelport::inject_packet(amt::Rank dst, minilci::Tag tag,
                                   EncodeFn encode, unsigned alloc_rounds,
                                   const minilci::Comp& comp,
@@ -333,16 +338,14 @@ void LciParcelport::send(amt::Rank dst, amt::OutMessage msg,
                          common::UniqueFunction<void()> done) {
   AMTNET_TRACE_SCOPE("pplci", "send");
   gauge_send_queue_depth_.add();  // balanced in drop_ref, at done()
-  if (telemetry::timing_enabled()) {
-    // Time the full send path: send() entry until the done callback fires
-    // from the completion chain. Per-message frequency, so cheap enough.
-    const common::Nanos start = common::now_ns();
-    done = [this, start, inner = std::move(done)]() mutable {
-      hist_send_ns_.record(
-          static_cast<std::uint64_t>(common::now_ns() - start));
-      inner();
-    };
-  }
+  // Time the full send path: send() entry until the done callback fires.
+  // Per-message frequency, so cheap enough. The fast path fires `done`
+  // inline and flush_batch times from the aggregator's enqueue stamp; only
+  // the connection path, where `done` fires from the completion chain,
+  // wraps it (a wrapper around a UniqueFunction never fits inline, so
+  // wrapping up front would cost every parcel an allocation).
+  const common::Nanos start =
+      telemetry::timing_enabled() ? common::now_ns() : 0;
   const amt::OutMessage* const single = &msg;
   const std::size_t frame_bytes = amt::frame_size(&single, 1);
   // Adaptive aggregation: a batchable parcel bound for a backpressured
@@ -376,6 +379,7 @@ void LciParcelport::send(amt::Rank dst, amt::OutMessage msg,
             kFastpathAllocRounds, minilci::Comp::none(), 0)) {
       ctr_fastpath_hits_.add();
       gauge_send_queue_depth_.sub();
+      if (start != 0) record_send_ns(start);
       done();
       return;
     }
@@ -387,9 +391,16 @@ void LciParcelport::send(amt::Rank dst, amt::OutMessage msg,
 
   const amt::HeaderPlan plan = amt::HeaderPlan::decide(msg, max_header_size_);
 
-  SenderConnection* connection = acquire_sender();
+  SenderConnection* connection = acquire(sender_pool_);
   connection->dst = dst;
-  connection->done = std::move(done);
+  if (start != 0) {
+    connection->done = [this, start, inner = std::move(done)]() mutable {
+      record_send_ns(start);
+      inner();
+    };
+  } else {
+    connection->done = std::move(done);
+  }
   // Follow-up piece layout, mirrored by the receiver: [main][tchunk][z...].
   // An empty main chunk travels piggybacked-by-omission (never as a piece).
   if (!plan.piggy_main && !msg.main_chunk.empty()) {
@@ -486,7 +497,7 @@ void LciParcelport::SenderConnection::drop_ref(LciParcelport& port) {
   if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     port.gauge_send_queue_depth_.sub();
     done();
-    port.recycle(this);
+    port.recycle(port.sender_pool_, this);
   }
 }
 
@@ -592,7 +603,7 @@ void LciParcelport::ReceiverConnection::finish(LciParcelport& port) {
   in.zchunks = std::move(zchunks);
   port.ctr_delivered_.add();
   port.context_.deliver(std::move(in));
-  port.recycle(this);
+  port.recycle(port.receiver_pool_, this);
 }
 
 void LciParcelport::ReceiverConnection::reset() {
@@ -613,7 +624,7 @@ void LciParcelport::handle_header(amt::Rank src, const std::byte* data,
   amt::DecodedHeader decoded = amt::decode_header(data, size);
   check_seq(src, decoded.fields.seq);
 
-  ReceiverConnection* connection = acquire_receiver();
+  ReceiverConnection* connection = acquire(receiver_pool_);
   connection->src = src;
   connection->tag_base = decoded.fields.tag;
   connection->fields = decoded.fields;
@@ -733,8 +744,10 @@ void LciParcelport::flush_batch(amt::Rank dst,
   // Local completion of *_packet is synchronous on kOk: every buffered
   // parcel's done callback can fire now (send_queue_depth was added once
   // per parcel at send() entry).
+  const bool timed = telemetry::timing_enabled();
   for (amt::Aggregator::Entry& entry : batch) {
     gauge_send_queue_depth_.sub();
+    if (timed) record_send_ns(entry.enqueued_ns);
     entry.done();
   }
 }

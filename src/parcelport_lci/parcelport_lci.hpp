@@ -17,7 +17,8 @@
 // slot by tag instead of walking stages. Completions land in one completion
 // queue; worker background work polls that queue plus the remote-put queue.
 // A dedicated progress thread, created through the resource-partitioner shim
-// and pinned at core 0, is the only caller of LCI_progress.
+// and pinned at core 0 (the slot after the workers when amtnet_launch gives
+// the process a CPU range), is the only caller of LCI_progress.
 //
 // The steady-state send path allocates nothing: SenderConnection /
 // ReceiverConnection / Synchronizer objects are recycled through bounded
@@ -68,6 +69,7 @@
 #include <deque>
 #include <memory>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "amt/aggregator.hpp"
@@ -182,11 +184,12 @@ class LciParcelport final : public amt::Parcelport {
 
   // Connection/synchronizer freelists (paper: "zero allocation on the
   // critical path"). Pop-or-new on acquire; reset-and-push (or delete, when
-  // the bounded pool is full) on recycle.
-  SenderConnection* acquire_sender();
-  ReceiverConnection* acquire_receiver();
-  void recycle(SenderConnection* connection);
-  void recycle(ReceiverConnection* connection);
+  // the bounded pool is full) on recycle. Every connection allocated is in
+  // owned_ until it is deleted.
+  template <typename C>
+  C* acquire(queues::MpmcQueue<C*>& pool);
+  template <typename C>
+  void recycle(queues::MpmcQueue<C*>& pool, C* connection);
 
   std::uint32_t alloc_tags(std::size_t count);
   void handle_header(amt::Rank src, const std::byte* data, std::size_t size);
@@ -226,6 +229,8 @@ class LciParcelport final : public amt::Parcelport {
   /// Posts one follow-up receive (medium or long, by size) for `piece`.
   void post_recv_piece(ReceiverConnection* connection, std::size_t piece,
                        std::size_t size, std::vector<std::byte>& buf);
+  /// Records one send() entry -> done interval in pplci/*/send_ns.
+  void record_send_ns(common::Nanos start);
   /// Bounded exponential backoff between injection retries (polling the
   /// device first in mt mode); counts every round in pplci/*/send_retries.
   void send_backoff(unsigned& round);
@@ -282,6 +287,12 @@ class LciParcelport final : public amt::Parcelport {
 
   queues::MpmcQueue<SenderConnection*> sender_pool_{1024};
   queues::MpmcQueue<ReceiverConnection*> receiver_pool_{1024};
+  // Owner of every live connection, pooled or in flight: a connection whose
+  // completions are still queued when the runtime stops is never recycled,
+  // and the destructor frees it from here. Touched only on pool misses and
+  // overflows, never on the steady-state path.
+  common::SpinMutex owned_mutex_;
+  std::unordered_set<Connection*> owned_;
   queues::MpmcQueue<minilci::Synchronizer*> sync_pool_{4096};
 
   std::atomic<std::uint64_t> next_tag_{1};  // 0 is the sr header tag
@@ -309,8 +320,9 @@ class LciParcelport final : public amt::Parcelport {
   std::atomic<std::int64_t> agg_mean_prev_{0};
 
   // Metrics under pplci/loc<rank>/... in the fabric's registry. The send
-  // histogram measures send() entry to done-callback firing (only when
-  // telemetry timing is enabled; see telemetry::timing_enabled).
+  // histogram measures send() entry (for aggregated parcels, their enqueue
+  // inside send()) to done-callback firing (only when telemetry timing is
+  // enabled; see telemetry::timing_enabled).
   telemetry::Counter& ctr_delivered_;
   telemetry::Counter& ctr_progress_skips_;  // ticket-layer progress skips
   telemetry::Counter& ctr_send_retries_;  // backoff rounds in send()

@@ -5,31 +5,50 @@
 // momentarily empty — consumers handle this by re-polling, which all our
 // progress loops do anyway.
 //
+// Consumed nodes are recycled through a small bounded free ring (a Vyukov
+// MpmcQueue<Node*>): the consumer parks each retired node there and
+// producers take one before falling back to `new`, so a queue in steady
+// state allocates nothing. A full ring deletes the node, which caps the
+// memory an idle queue keeps at kFreeNodes nodes — systems with many
+// localities create one queue per channel.
+//
 // Multi-consumer use: wrap pops in the owner's try-lock (see TryMpmcQueue).
 #pragma once
 
 #include <atomic>
 #include <cstddef>
+#include <memory>
+#include <new>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "common/cache.hpp"
 #include "common/spinlock.hpp"
+#include "queues/mpmc_queue.hpp"
 
 namespace queues {
 
 template <typename T>
 class MpscQueue {
+  // push() constructs into a node it already owns; a throwing move would
+  // strand that node.
+  static_assert(std::is_nothrow_move_constructible_v<T>);
+
+  // The value lives in raw storage: constructed by push, destroyed by the
+  // pop that moves it out, so the stub and recycled nodes hold no T.
   struct Node {
     std::atomic<Node*> next{nullptr};
-    T value{};
-    Node() = default;
-    explicit Node(T v) : value(std::move(v)) {}
+    alignas(T) unsigned char storage[sizeof(T)];
+    T& value() { return *std::launder(reinterpret_cast<T*>(storage)); }
   };
 
  public:
+  /// Retired nodes kept for reuse per queue.
+  static constexpr std::size_t kFreeNodes = 32;
+
   MpscQueue() {
-    Node* stub = new Node();
+    Node* stub = new Node;
     head_.value.store(stub, std::memory_order_relaxed);
     tail_.store(stub, std::memory_order_relaxed);
   }
@@ -39,29 +58,31 @@ class MpscQueue {
 
   ~MpscQueue() {
     Node* node = tail_.load(std::memory_order_relaxed);
-    while (node != nullptr) {
-      Node* next = node->next.load(std::memory_order_relaxed);
+    for (Node* next; node != nullptr; node = next) {
+      next = node->next.load(std::memory_order_relaxed);
+      if (next != nullptr) std::destroy_at(&next->value());
       delete node;
-      node = next;
     }
+    while (auto free = free_.try_pop()) delete *free;
   }
 
   /// Thread-safe for any number of producers.
   void push(T value) {
-    Node* node = new Node(std::move(value));
+    Node* node = nullptr;
+    if (auto free = free_.try_pop()) {
+      node = *free;
+      node->next.store(nullptr, std::memory_order_relaxed);
+    } else {
+      node = new Node;
+    }
+    ::new (static_cast<void*>(node->storage)) T(std::move(value));
     Node* prev = head_.value.exchange(node, std::memory_order_acq_rel);
     prev->next.store(node, std::memory_order_release);
   }
 
   /// Single consumer only.
   std::optional<T> try_pop() {
-    Node* tail = tail_.load(std::memory_order_relaxed);
-    Node* next = tail->next.load(std::memory_order_acquire);
-    if (next == nullptr) return std::nullopt;
-    T value = std::move(next->value);
-    tail_.store(next, std::memory_order_release);
-    delete tail;
-    return value;
+    return try_pop_if([](const T&) { return true; });
   }
 
   /// Pops the head element only when `pred(head)` holds. Used by the fabric
@@ -72,18 +93,21 @@ class MpscQueue {
     Node* tail = tail_.load(std::memory_order_relaxed);
     Node* next = tail->next.load(std::memory_order_acquire);
     if (next == nullptr) return std::nullopt;
-    if (!pred(static_cast<const T&>(next->value))) return std::nullopt;
-    T value = std::move(next->value);
+    if (!pred(static_cast<const T&>(next->value()))) return std::nullopt;
+    std::optional<T> value(std::move(next->value()));
+    std::destroy_at(&next->value());  // `next` becomes the new stub
     tail_.store(next, std::memory_order_release);
-    delete tail;
+    // No producer touches `tail` any more: the one that linked `next`
+    // already wrote tail->next, so the node is free to reuse.
+    if (!free_.try_push(tail)) delete tail;
     return value;
   }
 
   /// May transiently report empty while a push is mid-flight (and may report
   /// non-empty before the push links its node); fine for polling loops.
   /// Callable from ANY thread: compares the two end pointers without
-  /// dereferencing either — the consumer may delete the tail node at any
-  /// moment, so a cross-thread `tail_->next` read would be use-after-free.
+  /// dereferencing either — the consumer may retire the tail node at any
+  /// moment, so a cross-thread `tail_->next` read would be a race.
   bool looks_empty() const {
     return head_.value.load(std::memory_order_acquire) ==
            tail_.load(std::memory_order_acquire);
@@ -92,6 +116,7 @@ class MpscQueue {
  private:
   common::CachePadded<std::atomic<Node*>> head_;  // producers push here
   alignas(common::kCacheLineSize) std::atomic<Node*> tail_;  // consumer end
+  MpmcQueue<Node*> free_{kFreeNodes};  // retired nodes for producers
 };
 
 /// MPSC queue plus a consumer-side try-lock, making it safe for multiple

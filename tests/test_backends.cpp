@@ -1,14 +1,16 @@
 // Transport-backend tests: the shm ring primitive, backend selection
 // plumbing, a {sim, shm} conformance sweep over the parcelport configs the
 // main e2e suite covers (all 8 LCI variants, fastpath, aggregation, MPI),
-// one chaos row on both backends, the ring-fallback path, and a real
-// fork()-based two-process ping-pong over POSIX shared memory.
+// one chaos row on both backends, the ring-fallback path, a real
+// fork()-based two-process ping-pong over POSIX shared memory, and thread
+// placement under a per-process CPU range (as amtnet_launch sets).
 //
 // Every shm case skips gracefully on platforms without POSIX shm.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <numeric>
@@ -22,6 +24,14 @@
 #define AMTNET_TEST_HAVE_FORK 1
 #endif
 
+#if defined(__linux__)
+#include <sched.h>
+
+#include <filesystem>
+#include <fstream>
+#endif
+
+#include "common/affinity.hpp"
 #include "fabric/backend_shm.hpp"
 #include "fabric/shm_ring.hpp"
 #include "stack/stack.hpp"
@@ -587,5 +597,116 @@ TEST(ShmTwoProcess, CrossProcessRequestResponse) {
   runtime->stop();
   ::unsetenv("AMTNET_SHM_RANK");
   ::unsetenv("AMTNET_SHM_SESSION");
+#endif
+}
+
+// ---------------- thread placement under a CPU range ----------------
+
+#if defined(__linux__)
+namespace placement {
+
+struct NamedThread {
+  pid_t tid;
+  std::string name;
+};
+
+std::vector<NamedThread> threads_of_this_process() {
+  std::vector<NamedThread> threads;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream comm(entry.path() / "comm");
+    std::string name;
+    std::getline(comm, name);
+    threads.push_back(
+        {static_cast<pid_t>(std::stol(entry.path().filename())), name});
+  }
+  return threads;
+}
+
+/// The one CPU `tid` is pinned to, or -1 while it may run on several.
+int pinned_cpu(pid_t tid) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(tid, sizeof(set), &set) != 0) return -1;
+  if (CPU_COUNT(&set) != 1) return -1;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &set)) return cpu;
+  }
+  return -1;
+}
+
+/// Runs a two-locality, one-worker-each runtime under the CPU range
+/// [first, first + 2) and checks every worker sits on `first` and every
+/// progress thread on `first + 1`. Returns the process exit code.
+int check_worker_and_progress_cores(int first) {
+  StackOptions options;
+  options.parcelport = "lci_psr_cq_pin_i";
+  options.num_localities = 2;
+  options.threads_per_locality = 1;
+  auto runtime = amtnet::make_runtime(options);
+  const auto is_worker = [](const NamedThread& thread) {
+    return thread.name.find("-w") != std::string::npos;
+  };
+  const auto is_progress = [](const NamedThread& thread) {
+    return thread.name == "lci-progress";
+  };
+  // A new thread carries its creator's name until it renames itself.
+  std::vector<NamedThread> threads;
+  const bool all_named = testutil::spin_until([&] {
+    threads = threads_of_this_process();
+    return std::count_if(threads.begin(), threads.end(), is_worker) == 2 &&
+           std::count_if(threads.begin(), threads.end(), is_progress) == 2;
+  });
+  int failures = all_named ? 0 : 1;
+  if (!all_named) std::fprintf(stderr, "want 2 workers, 2 progress threads\n");
+  for (const NamedThread& thread : threads) {
+    if (!is_worker(thread) && !is_progress(thread)) continue;
+    // Threads name themselves around the moment they pin; wait for it.
+    int cpu = -1;
+    testutil::spin_until([&] { return (cpu = pinned_cpu(thread.tid)) >= 0; });
+    const int want = is_worker(thread) ? first : first + 1;
+    if (cpu != want) {
+      std::fprintf(stderr, "%s (tid %d) on cpu %d, want %d\n",
+                   thread.name.c_str(), static_cast<int>(thread.tid), cpu,
+                   want);
+      ++failures;
+    }
+  }
+  runtime->stop();
+  return failures == 0 ? 0 : 1;
+}
+
+}  // namespace placement
+#endif
+
+// amtnet_launch gives each rank a CPU range; workers pin to its first
+// slots. The progress thread must take the slot after them instead of
+// doubling up on worker 0's core. The process reads its range once, so the
+// check runs in a re-executed child (a threadsafe-style death test) whose
+// environment carries the range from the start.
+TEST(CpuRangePlacementDeathTest, ProgressThreadTakesTheSlotAfterTheWorkers) {
+#if !defined(__linux__)
+  GTEST_SKIP() << "thread affinity is only inspected on Linux";
+#else
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  ASSERT_EQ(::sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+  const int cores = static_cast<int>(common::hardware_core_count());
+  int first = -1;
+  for (int cpu = 0; cpu + 1 < cores && cpu + 1 < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &allowed) && CPU_ISSET(cpu + 1, &allowed)) {
+      first = cpu;
+      break;
+    }
+  }
+  if (first < 0) GTEST_SKIP() << "needs two adjacent usable cores";
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        ::setenv("AMTNET_CPU_FIRST", std::to_string(first).c_str(), 1);
+        ::setenv("AMTNET_CPU_COUNT", "2", 1);
+        std::_Exit(placement::check_worker_and_progress_cores(first));
+      },
+      ::testing::ExitedWithCode(0), "");
 #endif
 }

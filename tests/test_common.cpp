@@ -8,8 +8,10 @@
 #include <memory>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "common/affinity.hpp"
 #include "common/cache.hpp"
 #include "common/clock.hpp"
@@ -240,6 +242,118 @@ TEST(UniqueFunction, ForwardsArgumentsAndReturns) {
 TEST(UniqueFunction, DefaultIsEmpty) {
   common::UniqueFunction<void()> fn;
   EXPECT_FALSE(static_cast<bool>(fn));
+}
+
+namespace {
+
+using Fn = common::UniqueFunction<int()>;
+
+/// A callable of exactly `Bytes` bytes that counts how often an owning
+/// instance (one not moved from) is destroyed.
+template <std::size_t Bytes, bool kNothrowMove = true>
+struct Tracked {
+  static_assert(Bytes >= 2 * sizeof(int*));
+  int* released;
+  int* live;
+  unsigned char pad[Bytes - 2 * sizeof(int*)] = {};
+
+  Tracked(int* released_count, int* live_count)
+      : released(released_count), live(live_count) {
+    ++*live;
+  }
+  Tracked(Tracked&& other) noexcept(kNothrowMove)
+      : released(std::exchange(other.released, nullptr)), live(other.live) {
+    ++*live;
+  }
+  Tracked& operator=(Tracked&&) = delete;
+  ~Tracked() {
+    --*live;
+    if (released != nullptr) ++*released;
+  }
+  int operator()() const { return static_cast<int>(sizeof(Tracked)); }
+};
+
+using InlineMax = Tracked<Fn::kInlineBytes>;
+using OverInline = Tracked<Fn::kInlineBytes + 8>;
+using ThrowingMove = Tracked<32, false>;
+
+static_assert(sizeof(InlineMax) == Fn::kInlineBytes);
+static_assert(Fn::stores_inline<InlineMax>);
+static_assert(!Fn::stores_inline<OverInline>);
+static_assert(!Fn::stores_inline<ThrowingMove>);
+
+/// Allocations made by `body`, on any thread.
+template <typename Body>
+std::uint64_t allocations_in(Body&& body) {
+  const std::uint64_t before = testutil::heap_allocations();
+  body();
+  return testutil::heap_allocations() - before;
+}
+
+}  // namespace
+
+TEST(UniqueFunction, CallableUpToInlineBytesNeverAllocates) {
+  int released = 0;
+  int live = 0;
+  int result = 0;
+  const std::uint64_t allocs = allocations_in([&] {
+    Fn a = InlineMax(&released, &live);
+    Fn b = std::move(a);
+    Fn c = [] { return 1; };
+    c = std::move(b);
+    result = c();
+  });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(result, static_cast<int>(Fn::kInlineBytes));
+  EXPECT_EQ(released, 1);
+  EXPECT_EQ(live, 0);
+}
+
+TEST(UniqueFunction, OversizedOrThrowingMoveCallableGoesToTheHeap) {
+  int released = 0;
+  int live = 0;
+  std::uint64_t moves = 0;
+  int big_result = 0;
+  int throwing_result = 0;
+  const std::uint64_t allocs = allocations_in([&] {
+    Fn big = OverInline(&released, &live);
+    Fn throwing = ThrowingMove(&released, &live);
+    moves = allocations_in([&] {
+      Fn moved_big = std::move(big);
+      Fn moved_throwing = std::move(throwing);
+      big_result = moved_big();
+      throwing_result = moved_throwing();
+    });
+  });
+  EXPECT_EQ(allocs, 2u) << "one heap block per out-of-line callable";
+  EXPECT_EQ(moves, 0u) << "moving an out-of-line callable moves the pointer";
+  EXPECT_EQ(big_result, static_cast<int>(sizeof(OverInline)));
+  EXPECT_EQ(throwing_result, static_cast<int>(sizeof(ThrowingMove)));
+  EXPECT_EQ(released, 2);
+  EXPECT_EQ(live, 0);
+}
+
+template <typename T>
+class UniqueFunctionLifetime : public ::testing::Test {};
+using StorageModes = ::testing::Types<InlineMax, OverInline, ThrowingMove>;
+TYPED_TEST_SUITE(UniqueFunctionLifetime, StorageModes);
+
+TYPED_TEST(UniqueFunctionLifetime, EachCallableIsDestroyedExactlyOnce) {
+  int released = 0;
+  int live = 0;
+  {
+    Fn a = TypeParam(&released, &live);
+    Fn b = std::move(a);  // move construction
+    EXPECT_FALSE(static_cast<bool>(a));  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(released, 0);
+
+    Fn c = TypeParam(&released, &live);
+    c = std::move(b);  // move-assign over a non-empty function
+    EXPECT_EQ(released, 1) << "the overwritten callable is destroyed once";
+    EXPECT_EQ(c(), static_cast<int>(sizeof(TypeParam)));
+  }
+  EXPECT_EQ(released, 2) << "destruction releases the survivor once";
+  EXPECT_EQ(live, 0) << "a moved-from callable leaked or was destroyed twice";
 }
 
 TEST(BasicSpinMutex, UcxStyleVariantStillMutuallyExcludes) {

@@ -1,15 +1,17 @@
 // Unit + property tests for the lock-free queues: FIFO per producer, no
-// loss, no duplication, capacity behaviour, and predicate-gated pops.
-// Thread-count sweeps use parameterized tests.
+// loss, no duplication, capacity behaviour, predicate-gated pops, and MPSC
+// node recycling. Thread-count sweeps use parameterized tests.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <thread>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "queues/mpmc_queue.hpp"
 #include "queues/mpsc_queue.hpp"
 #include "queues/spsc_ring.hpp"
@@ -110,9 +112,45 @@ TEST(MpscQueue, TryPopIfGatesOnPredicate) {
   EXPECT_EQ(*v, 5);
 }
 
+TEST(MpscQueue, SteadyStatePushPopAllocatesNothing) {
+  using Queue = queues::MpscQueue<std::vector<int>>;
+  Queue queue;
+  const auto burst = [&queue](std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) queue.push({});
+    for (std::size_t i = 0; i < n; ++i) ASSERT_TRUE(queue.try_pop());
+  };
+  burst(Queue::kFreeNodes);  // warm-up: fills the free ring
+  const std::uint64_t before = testutil::heap_allocations();
+  for (int round = 0; round < 1000; ++round) {
+    burst(1);
+    burst(Queue::kFreeNodes);
+  }
+  EXPECT_EQ(testutil::heap_allocations() - before, 0u)
+      << "a push allocated a node although retired ones were free";
+  // A burst past the ring allocates, and afterwards the queue is back to
+  // reuse only.
+  burst(4 * Queue::kFreeNodes);
+  const std::uint64_t after_burst = testutil::heap_allocations();
+  burst(Queue::kFreeNodes);
+  EXPECT_EQ(testutil::heap_allocations() - after_burst, 0u);
+}
+
+TEST(MpscQueue, DestructionReleasesQueuedValuesOnce) {
+  auto token = std::make_shared<int>(0);
+  {
+    queues::MpscQueue<std::shared_ptr<int>> queue;
+    for (int i = 0; i < 3; ++i) queue.push(token);
+    EXPECT_TRUE(queue.try_pop());  // its node is now in the free ring
+    EXPECT_EQ(token.use_count(), 3);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+}
+
 struct MpscParam {
   int producers;
   std::uint32_t per_producer;
+  // Most items in flight at once; 0 lets producers run ahead freely.
+  std::int64_t window;
 };
 
 class MpscQueueProperty : public ::testing::TestWithParam<MpscParam> {};
@@ -120,10 +158,17 @@ class MpscQueueProperty : public ::testing::TestWithParam<MpscParam> {};
 TEST_P(MpscQueueProperty, NoLossNoDupPerProducerFifo) {
   const auto param = GetParam();
   queues::MpscQueue<std::uint64_t> queue;
+  std::atomic<std::int64_t> in_flight{0};
+  const std::uint64_t allocs_before = testutil::heap_allocations();
   std::vector<std::thread> producers;
   for (int p = 0; p < param.producers; ++p) {
     producers.emplace_back([&, p] {
       for (std::uint32_t i = 0; i < param.per_producer; ++i) {
+        while (param.window > 0 &&
+               in_flight.load(std::memory_order_relaxed) >= param.window) {
+          std::this_thread::yield();
+        }
+        in_flight.fetch_add(1, std::memory_order_relaxed);
         queue.push(encode(static_cast<std::uint32_t>(p), i));
       }
     });
@@ -138,6 +183,7 @@ TEST_P(MpscQueueProperty, NoLossNoDupPerProducerFifo) {
       std::this_thread::yield();
       continue;
     }
+    in_flight.fetch_sub(1, std::memory_order_relaxed);
     const auto producer = producer_of(*v);
     ASSERT_EQ(seq_of(*v), next_seq[producer]) << "per-producer FIFO violated";
     ++next_seq[producer];
@@ -145,12 +191,25 @@ TEST_P(MpscQueueProperty, NoLossNoDupPerProducerFifo) {
   }
   for (auto& thread : producers) thread.join();
   EXPECT_FALSE(queue.try_pop().has_value());
+  if (param.window > 0) {
+    // Within the window (plus one overshoot per producer) every node the
+    // consumer thread retires fits the free ring, so the producer threads
+    // reuse nodes instead of allocating: the hand-off TSan checks.
+    EXPECT_LT(testutil::heap_allocations() - allocs_before, total / 10)
+        << "producers allocated nodes instead of reusing retired ones";
+  }
 }
+
+constexpr std::int64_t kReuseWindow =
+    queues::MpscQueue<std::uint64_t>::kFreeNodes / 2;
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, MpscQueueProperty,
-    ::testing::Values(MpscParam{1, 50000}, MpscParam{2, 25000},
-                      MpscParam{4, 10000}, MpscParam{8, 5000}));
+    ::testing::Values(MpscParam{1, 50000, 0}, MpscParam{2, 25000, 0},
+                      MpscParam{4, 10000, 0}, MpscParam{8, 5000, 0},
+                      MpscParam{1, 50000, kReuseWindow},
+                      MpscParam{4, 10000, kReuseWindow},
+                      MpscParam{8, 5000, kReuseWindow}));
 
 // ---------------- TryMpmcQueue ----------------
 
