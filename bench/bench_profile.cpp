@@ -33,7 +33,8 @@ void print_hist(const telemetry::Snapshot& snap, const char* label,
   const telemetry::HistogramSummary* h = snap.histogram(name);
   if (h == nullptr || h->count == 0) return;
   std::printf(
-      "  %-24s: p50 %8.2f  p90 %8.2f  p99 %8.2f  max %8.2f %s (n=%llu)\n",
+      "  %-24s: p50 %8.2f  p90 %8.2f  p99 %8.2f  max %8.2f %s "
+      "(%llu samples)\n",
       label, static_cast<double>(h->p50) * scale,
       static_cast<double>(h->p90) * scale, static_cast<double>(h->p99) * scale,
       static_cast<double>(h->max) * scale,
@@ -128,13 +129,13 @@ int main() {
       "batches parcels; lci shows lower per-message overhead and no "
       "connection-cache traffic with _i",
       env);
-  if (!telemetry::timing_enabled()) {
-    std::printf("# AMTNET_TELEMETRY=off: latency histograms will be empty\n");
-  }
   // Record the whole run as a Chrome trace regardless of AMTNET_TRACE_FILE
   // (which only selects the output path here).
   telemetry::TraceRecorder& tracer = telemetry::TraceRecorder::instance();
-  tracer.set_enabled(telemetry::timing_enabled());
+  tracer.set_enabled(true);
+  if (!tracer.enabled()) {
+    std::printf("# AMTNET_TELEMETRY=off: latency histograms will be empty\n");
+  }
   const std::string trace_file = telemetry::TraceRecorder::env_trace_file()
                                      .empty()
                                      ? std::string("bench_profile_trace.json")

@@ -106,9 +106,6 @@ const char* coll_algo_name(CollAlgo algo) {
 CollTuning coll_tuning_from_environment(const std::string& config_token) {
   CollTuning tuning;
   tuning.force = config_token;
-  if (const char* forced = std::getenv("AMTNET_COLL_ALGO")) {
-    tuning.force = forced;
-  }
   if (tuning.force == "auto") tuning.force.clear();
   if (!tuning.force.empty() && tuning.force != "central" &&
       tuning.force != "tree" && tuning.force != "rd" &&

@@ -79,7 +79,7 @@ const char* coll_algo_name(CollAlgo algo);
 
 /// Selection inputs, resolved once per CollectiveGroup: a forced algorithm
 /// family ("" = auto; "central", "tree", "rd", "ring") from the
-/// AMTNET_COLL_ALGO env knob or the `coll<ALGO>` config token, the
+/// `coll<ALGO>` config token, the
 /// pipelining segment size, the small/large payload crossover, and the
 /// round-window slot count.
 struct CollTuning {
@@ -89,9 +89,9 @@ struct CollTuning {
   std::size_t window = 16;         // AMTNET_COLL_WINDOW
 };
 
-/// Reads the AMTNET_COLL_* knobs, with `config_token` (the parcelport's
-/// coll token value) as the fallback for the forced family. Throws
-/// std::invalid_argument for an unknown family name.
+/// Takes the forced family from `config_token` (the parcelport's coll token
+/// value) and reads the AMTNET_COLL_SEG_BYTES / _LARGE_BYTES / _WINDOW
+/// knobs. Throws std::invalid_argument for an unknown family name.
 CollTuning coll_tuning_from_environment(const std::string& config_token = "");
 
 /// The documented selection model: payload size x locality count ->

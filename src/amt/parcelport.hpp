@@ -112,7 +112,7 @@ struct ParcelportConfig {
   /// "tree", "rd", or "ring" force that family where the op has a member
   /// of it (see amt::select_algorithm); "" = auto (payload size x locality
   /// count selection, the default — omitted from name()). Applies to every
-  /// backend; AMTNET_COLL_ALGO overrides at runtime.
+  /// backend.
   std::string coll;
 
   /// Fabric transport backend, from a backendsim / backendshm token: "sim"

@@ -300,7 +300,7 @@ class Locality {
   telemetry::Counter& ctr_messages_sent_;
   telemetry::Counter& ctr_messages_received_;
   telemetry::Counter& ctr_actions_executed_;
-  telemetry::Histogram& hist_serialize_ns_;    // per-message serialize time
+  telemetry::Histogram& hist_serialize_ns_;    // sampled serialize time
   telemetry::Histogram& hist_aggregate_batch_; // parcels per flushed message
   telemetry::Gauge& gauge_parcel_queue_depth_; // in-flight parcels, all dests
   telemetry::Counter& ctr_admit_accepted_;

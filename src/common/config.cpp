@@ -114,12 +114,6 @@ const std::vector<Knob>& knob_registry() {
       {Kind::kEnv, "AMTNET_TRACE_FILE", "bench_profile_trace.json",
        "where bench_profile writes its Chrome trace", "bench_profile"},
       // -- collectives (CollectiveGroup algorithm selection) --
-      {Kind::kEnv, "AMTNET_COLL_ALGO", "auto",
-       "force a collective algorithm family (central|tree|rd|ring) for ops "
-       "that have a member of it; auto = payload size x locality count "
-       "selection (see docs/collectives.md); overrides the coll<ALGO> "
-       "config token",
-       "test_collectives"},
       {Kind::kEnv, "AMTNET_COLL_SEG_BYTES", "8192",
        "segment size for the pipelined binomial broadcast (store-and-"
        "forward pipelining above the large-payload crossover)",
@@ -270,8 +264,7 @@ const std::vector<Knob>& knob_registry() {
        "openloop"},
       {Kind::kConfigToken, "coll<ALGO>", "auto",
        "collective algorithm family for CollectiveGroup ops (collcentral | "
-       "colltree | collrd | collring | collauto); applies to every backend "
-       "and is overridden by AMTNET_COLL_ALGO",
+       "colltree | collrd | collring | collauto); applies to every backend",
        "ablation_collectives"},
       {Kind::kConfigToken, "fine", "off (coarse)",
        "fine-grained progress lock in the MPI/UCX layer",

@@ -202,7 +202,7 @@ common::Status SimNic::post_packet(Rank dst, detail::Packet packet,
     }
     // The per-rail send latency charged to this packet: queueing behind the
     // rail's busy window + serialisation + propagation (+jitter).
-    if (telemetry::timing_enabled()) {
+    if (telemetry::sampled()) {
       hist_wire_latency_ns_.record(
           static_cast<std::uint64_t>(packet.deliver_time - now));
     }
@@ -370,18 +370,18 @@ std::size_t SimNic::poll_rx_sink(std::size_t max_packets, RxSink sink) {
   for (std::size_t i = 0; i < n_channels && processed < max_packets; ++i) {
     detail::Channel& channel =
         *rx_channels_[(start + i) % n_channels];
-    std::byte* reserved = nullptr;  // SRQ buffer pre-acquired by the predicate
+    bool reserved = false;  // SRQ credit pre-acquired by the predicate
 
     auto deliverable = [&](const detail::Packet& p) {
       if (!config_.zero_time && p.deliver_time > now) return false;
       if (p.kind == detail::Packet::Kind::kSend && !p.payload.empty() &&
-          reserved == nullptr) {
+          !reserved) {
         if (rnr_storm) {
           ctr_rnr_stalls_.add();
           return false;
         }
         reserved = srq_.try_acquire();
-        if (reserved == nullptr) {
+        if (!reserved) {
           // RNR: stall this channel until buffers are recycled.
           ctr_rnr_stalls_.add();
           AMTNET_TRACE_INSTANT("fabric", "rnr_stall");
@@ -415,8 +415,8 @@ std::size_t SimNic::poll_rx_sink(std::size_t max_packets, RxSink sink) {
         event.size = p.payload.size();
         if (!p.payload.empty()) {
           event.payload = std::move(p.payload);
-          event.credit = RecvBuffer(&srq_, reserved, event.size);
-          reserved = nullptr;
+          event.credit = RecvBuffer(&srq_);
+          reserved = false;
         }
         sink(std::move(event));
       } else {
@@ -439,7 +439,7 @@ std::size_t SimNic::poll_rx_sink(std::size_t max_packets, RxSink sink) {
 
     processed += channel.queue.try_drain_while(max_packets - processed,
                                                deliverable, consume);
-    if (reserved != nullptr) srq_.release(reserved);
+    if (reserved) srq_.release();
   }
   return processed;
 }

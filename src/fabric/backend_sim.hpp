@@ -165,8 +165,9 @@ class SimNic final : public Nic {
   telemetry::Counter& ctr_faults_delayed_;
   telemetry::Counter& ctr_brownout_rejects_;
   telemetry::Counter& ctr_rnr_storms_;
-  // One-way wire latency charged to each packet (post -> deliver_time), the
-  // per-rail send-latency distribution. Not recorded in zero_time mode.
+  // One-way wire latency charged to a sampled packet (post ->
+  // deliver_time), the per-rail send-latency distribution. Not recorded in
+  // zero_time mode.
   telemetry::Histogram& hist_wire_latency_ns_;
 };
 

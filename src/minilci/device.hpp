@@ -284,7 +284,7 @@ class Device {
   telemetry::Counter& ctr_pool_exhausted_;
   telemetry::Counter& ctr_pool_cache_hits_;  // packet allocs served by the
                                              // per-slot magazine
-  telemetry::Histogram& hist_progress_ns_;  // duration of each progress()
+  telemetry::Histogram& hist_progress_ns_;  // sampled progress() duration
 };
 
 }  // namespace minilci

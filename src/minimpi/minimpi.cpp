@@ -55,21 +55,16 @@ std::uint32_t imm_arg(std::uint64_t imm) {
 }
 
 /// RAII guard that takes the coarse blocking lock only in coarse mode,
-/// recording how long acquisition stalled — the paper's §4b "threads convoy
-/// on the ucp_progress lock" effect, made directly measurable.
+/// recording how long a sampled acquisition stalled — the paper's §4b
+/// "threads convoy on the ucp_progress lock" effect, made directly
+/// measurable.
 class MaybeBigLock {
  public:
   MaybeBigLock(common::UcxStyleSpinMutex& mutex, LockMode mode,
                telemetry::Histogram& wait_hist) {
     if (mode == LockMode::kCoarseBlocking) {
-      if (telemetry::timing_enabled()) {
-        const common::Nanos start = common::now_ns();
-        guard_ = std::unique_lock(mutex);
-        wait_hist.record(
-            static_cast<std::uint64_t>(common::now_ns() - start));
-      } else {
-        guard_ = std::unique_lock(mutex);
-      }
+      telemetry::ScopedTimer timer(wait_hist);
+      guard_ = std::unique_lock(mutex);
     }
   }
 

@@ -232,7 +232,7 @@ class Comm {
 
   // Metrics under minimpi/comm<rank>/... in the Fabric's registry. The lock
   // wait histogram measures time spent acquiring big_lock_ — the paper §4b
-  // convoy — from every isend/irecv/test/progress call in coarse mode.
+  // convoy — from sampled isend/irecv/test/progress calls in coarse mode.
   telemetry::Counter& ctr_completed_;
   telemetry::Counter& ctr_unexpected_;  // arrivals stashed with no recv posted
   telemetry::Histogram& hist_lock_wait_ns_;

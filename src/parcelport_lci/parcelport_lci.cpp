@@ -302,10 +302,6 @@ void LciParcelport::send_backoff(unsigned& round) {
   ++round;
 }
 
-void LciParcelport::record_send_ns(common::Nanos start) {
-  hist_send_ns_.record(static_cast<std::uint64_t>(common::now_ns() - start));
-}
-
 bool LciParcelport::inject_packet(amt::Rank dst, minilci::Tag tag,
                                   EncodeFn encode, unsigned alloc_rounds,
                                   const minilci::Comp& comp,
@@ -320,11 +316,15 @@ bool LciParcelport::inject_packet(amt::Rank dst, minilci::Tag tag,
     send_backoff(round);
     if (round == alloc_rounds) return false;
   }
-  const std::uint32_t seq =
-      header_seq_tx_[dst].value.fetch_add(1, std::memory_order_relaxed);
-  packet->set_size(encode(seq, packet->data(), packet->capacity()));
+  // Every attempt stamps a fresh seq: a sender starved through many retry
+  // rounds while other threads keep posting to `dst` would otherwise arrive
+  // behind the receiver's duplicate window (amt::HeaderSeqTracker). The
+  // seqs of failed attempts are never sent; the tracker skips such gaps.
   round = 0;
   for (;;) {
+    const std::uint32_t seq =
+        header_seq_tx_[dst].value.fetch_add(1, std::memory_order_relaxed);
+    packet->set_size(encode(seq, packet->data(), packet->capacity()));
     const common::Status status =
         protocol_ == amt::ParcelportConfig::Protocol::kPutSendRecv
             ? device_.put_dyn_packet(dst, tag, *packet, comp, ctx)
@@ -338,14 +338,11 @@ void LciParcelport::send(amt::Rank dst, amt::OutMessage msg,
                          common::UniqueFunction<void()> done) {
   AMTNET_TRACE_SCOPE("pplci", "send");
   gauge_send_queue_depth_.add();  // balanced in drop_ref, at done()
-  // Time the full send path: send() entry until the done callback fires.
-  // Per-message frequency, so cheap enough. The fast path fires `done`
-  // inline and flush_batch times from the aggregator's enqueue stamp; only
-  // the connection path, where `done` fires from the completion chain,
-  // wraps it (a wrapper around a UniqueFunction never fits inline, so
-  // wrapping up front would cost every parcel an allocation).
-  const common::Nanos start =
-      telemetry::timing_enabled() ? common::now_ns() : 0;
+  // Time the full send path of a sampled parcel: send() entry until the
+  // done callback fires. The fast path fires `done` inline and flush_batch
+  // times from the aggregator's enqueue stamp; only the connection path,
+  // where `done` fires from the completion chain, wraps it.
+  const common::Nanos start = telemetry::sample_start();
   const amt::OutMessage* const single = &msg;
   const std::size_t frame_bytes = amt::frame_size(&single, 1);
   // Adaptive aggregation: a batchable parcel bound for a backpressured
@@ -379,7 +376,7 @@ void LciParcelport::send(amt::Rank dst, amt::OutMessage msg,
             kFastpathAllocRounds, minilci::Comp::none(), 0)) {
       ctr_fastpath_hits_.add();
       gauge_send_queue_depth_.sub();
-      if (start != 0) record_send_ns(start);
+      telemetry::record_since(hist_send_ns_, start);
       done();
       return;
     }
@@ -393,14 +390,8 @@ void LciParcelport::send(amt::Rank dst, amt::OutMessage msg,
 
   SenderConnection* connection = acquire(sender_pool_);
   connection->dst = dst;
-  if (start != 0) {
-    connection->done = [this, start, inner = std::move(done)]() mutable {
-      record_send_ns(start);
-      inner();
-    };
-  } else {
-    connection->done = std::move(done);
-  }
+  telemetry::time_completion(hist_send_ns_, start, done);
+  connection->done = std::move(done);
   // Follow-up piece layout, mirrored by the receiver: [main][tchunk][z...].
   // An empty main chunk travels piggybacked-by-omission (never as a piece).
   if (!plan.piggy_main && !msg.main_chunk.empty()) {
@@ -744,10 +735,11 @@ void LciParcelport::flush_batch(amt::Rank dst,
   // Local completion of *_packet is synchronous on kOk: every buffered
   // parcel's done callback can fire now (send_queue_depth was added once
   // per parcel at send() entry).
-  const bool timed = telemetry::timing_enabled();
   for (amt::Aggregator::Entry& entry : batch) {
     gauge_send_queue_depth_.sub();
-    if (timed) record_send_ns(entry.enqueued_ns);
+    if (telemetry::sampled()) {
+      telemetry::record_since(hist_send_ns_, entry.enqueued_ns);
+    }
     entry.done();
   }
 }

@@ -204,15 +204,16 @@ class LciParcelport final : public amt::Parcelport {
                    std::vector<amt::Aggregator::Entry>&& batch,
                    amt::Aggregator::FlushReason reason);
   /// Writes the message into a packet of `capacity` bytes at `out`, stamped
-  /// with per-destination `seq`; returns the bytes written.
+  /// with per-destination `seq`; returns the bytes written. May be called
+  /// again (with a new seq) when an injection attempt is retried.
   using EncodeFn = common::FunctionRef<std::size_t(
       std::uint32_t seq, std::byte* out, std::size_t capacity)>;
   static constexpr unsigned kUnboundedAllocRounds = ~0u;
   /// Allocates a pool packet (giving up after `alloc_rounds` backoff
-  /// rounds), stamps the next per-destination seq, lets `encode` fill the
-  /// packet, and injects it on `tag` (dynamic put under psr, medium send
-  /// under sr) with explicit retry. Returns false only when the allocation
-  /// gave up, in which case nothing was sent.
+  /// rounds), then stamps the next per-destination seq, lets `encode` fill
+  /// the packet, and injects it on `tag` (dynamic put under psr, medium
+  /// send under sr), restamping on each explicit retry. Returns false only
+  /// when the allocation gave up, in which case nothing was sent.
   bool inject_packet(amt::Rank dst, minilci::Tag tag, EncodeFn encode,
                      unsigned alloc_rounds, const minilci::Comp& comp,
                      std::uint64_t ctx);
@@ -229,8 +230,6 @@ class LciParcelport final : public amt::Parcelport {
   /// Posts one follow-up receive (medium or long, by size) for `piece`.
   void post_recv_piece(ReceiverConnection* connection, std::size_t piece,
                        std::size_t size, std::vector<std::byte>& buf);
-  /// Records one send() entry -> done interval in pplci/*/send_ns.
-  void record_send_ns(common::Nanos start);
   /// Bounded exponential backoff between injection retries (polling the
   /// device first in mt mode); counts every round in pplci/*/send_retries.
   void send_backoff(unsigned& round);
@@ -321,8 +320,7 @@ class LciParcelport final : public amt::Parcelport {
 
   // Metrics under pplci/loc<rank>/... in the fabric's registry. The send
   // histogram measures send() entry (for aggregated parcels, their enqueue
-  // inside send()) to done-callback firing (only when telemetry timing is
-  // enabled; see telemetry::timing_enabled).
+  // inside send()) to done-callback firing, for telemetry::sampled() parcels.
   telemetry::Counter& ctr_delivered_;
   telemetry::Counter& ctr_progress_skips_;  // ticket-layer progress skips
   telemetry::Counter& ctr_send_retries_;  // backoff rounds in send()

@@ -88,14 +88,7 @@ void MpiParcelport::send(amt::Rank dst, amt::OutMessage msg,
     gauge_send_queue_depth_.sub();
     inner();
   };
-  if (telemetry::timing_enabled()) {
-    const common::Nanos start = common::now_ns();
-    done = [this, start, inner = std::move(done)]() mutable {
-      hist_send_ns_.record(
-          static_cast<std::uint64_t>(common::now_ns() - start));
-      inner();
-    };
-  }
+  telemetry::time_completion(hist_send_ns_, telemetry::sample_start(), done);
   const amt::HeaderPlan plan =
       original_ ? amt::HeaderPlan::decide_original(msg)
                 : amt::HeaderPlan::decide(msg, max_header_size_);

@@ -135,7 +135,7 @@ class MpiParcelport final : public amt::Parcelport {
   std::deque<std::unique_ptr<Connection>> pending_;
 
   // Metrics under ppmpi/loc<rank>/... in the fabric's registry; send_ns
-  // spans send() entry to done-callback firing when timing is enabled.
+  // spans send() entry to done-callback firing of sampled sends.
   telemetry::Counter& ctr_delivered_;
   telemetry::Histogram& hist_send_ns_;
   telemetry::Gauge& gauge_send_queue_depth_;  // messages accepted by send(),

@@ -53,14 +53,7 @@ void TcpParcelport::send(amt::Rank dst, amt::OutMessage msg,
                          common::UniqueFunction<void()> done) {
   AMTNET_TRACE_SCOPE("pptcp", "send");
   gauge_send_queue_depth_.add();  // balanced when the frame fully streams
-  if (telemetry::timing_enabled()) {
-    const common::Nanos start = common::now_ns();
-    done = [this, start, inner = std::move(done)]() mutable {
-      hist_send_ns_.record(
-          static_cast<std::uint64_t>(common::now_ns() - start));
-      inner();
-    };
-  }
+  telemetry::time_completion(hist_send_ns_, telemetry::sample_start(), done);
   OutFrame frame;
   frame.done = std::move(done);
 

@@ -92,7 +92,7 @@ class TcpParcelport final : public amt::Parcelport {
   std::vector<std::unique_ptr<common::SpinMutex>> rx_mutexes_;
 
   // Metrics under pptcp/loc<rank>/... in the fabric's registry; send_ns
-  // spans send() entry to done-callback firing when timing is enabled.
+  // spans send() entry to done-callback firing of sampled sends.
   telemetry::Counter& ctr_delivered_;
   telemetry::Histogram& hist_send_ns_;
   telemetry::Gauge& gauge_send_queue_depth_;  // frames queued or streaming,

@@ -1,13 +1,28 @@
 // Low-overhead metric primitives: cache-line-sharded lock-free counters and
-// gauges, and log-bucketed (HDR-style) latency histograms with fixed memory.
+// gauges, log-bucketed (HDR-style) latency histograms with fixed memory, and
+// the sampled timer every instrumentation timing site goes through.
 //
-// Cost model (the reason hot paths may keep these always-on):
-//   * Counter::add / Gauge::add are one relaxed fetch_add on a per-thread
-//     shard — no shared cache line is written by concurrent threads, so a
-//     counter on a million-ops/s path costs the same as a private increment.
-//   * Histogram::record is one relaxed fetch_add into a bucket plus a relaxed
-//     max update; timing helpers (ScopedTimer) additionally pay two clock
-//     reads and honour the AMTNET_TELEMETRY=0 runtime kill switch.
+// Cost model (why counters stay exact and timers are sampled):
+//   * Counter::add / Gauge::add are one relaxed fetch_add — a locked
+//     read-modify-write — on a per-thread shard, so concurrent threads do not
+//     bounce one cache line, but each add still costs an atomic RMW.
+//   * Histogram::record is two relaxed fetch_adds (bucket, sum) plus a CAS
+//     loop for the max, on lines every recording thread shares (histograms
+//     are not sharded).
+//   * A timed operation also pays two steady_clock reads (30-50 ns each on
+//     a 4-vCPU virtualised Xeon). Timing every parcel cost ~15% of the sim
+//     8 B flood rate there. So timing sites are SAMPLED: sampled() picks one
+//     operation in kSamplePeriod, by a per-thread xorshift draw that writes
+//     no shared line, and an unsampled operation reads no clock and touches
+//     no histogram. ScopedTimer, sample_start/record_since and
+//     time_completion are the only ways instrumentation feeds a histogram
+//     from the clock.
+//   * Consequence for timing histograms: count() is a SAMPLE count (about
+//     1/kSamplePeriod of the operations), sum()/count() is an unbiased mean,
+//     percentiles are estimated from the samples, and max() is the maximum
+//     over the samples only. Histograms recorded directly with record()
+//     (batch sizes, loadgen's sojourn and lag, the experiment driver's
+//     results) keep every value. Counters are always exact.
 //   * Reads (value(), percentile(), Registry::snapshot()) aggregate the
 //     shards with relaxed loads: each returned number is a coherent 64-bit
 //     value that existed at some instant during the call, counters are
@@ -16,7 +31,8 @@
 //     for every stats() accessor built on top of the registry.
 //
 // Compiling with AMTNET_TELEMETRY_DISABLED replaces every type in this header
-// with an inline no-op stub so instrumented code compiles to nothing.
+// with an inline no-op stub and sampled() with a constant false, so
+// instrumented code compiles to nothing.
 #pragma once
 
 #include <array>
@@ -26,15 +42,17 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 #include "common/cache.hpp"
 #include "common/clock.hpp"
+#include "common/rng.hpp"
 
 namespace telemetry {
 
 /// Runtime kill switch for *timing* instrumentation (clock reads). Counters
-/// stay on — they are too cheap to be worth a branch. Reads AMTNET_TELEMETRY
-/// once: "0" / "off" / "false" disable timers and tracing.
+/// stay on: they cost no clock read. Reads AMTNET_TELEMETRY once: "0" /
+/// "off" / "false" disable timers and tracing.
 bool timing_enabled_from_env();
 inline bool timing_enabled() {
   static const bool enabled = timing_enabled_from_env();
@@ -50,7 +68,50 @@ inline unsigned shard_slot() {
   return slot;
 }
 
+/// One timed operation in kSamplePeriod reads the clock. A constant: the
+/// histograms' sum/count stays an unbiased mean at any period, so there is
+/// nothing to tune.
+inline constexpr unsigned kSamplePeriod = 16;
+static_assert((kSamplePeriod & (kSamplePeriod - 1)) == 0,
+              "kSamplePeriod must be a power of two");
+
 #ifndef AMTNET_TELEMETRY_DISABLED
+
+namespace detail {
+/// Per-thread sampler: a xorshift64 stream and the draw bound that keeps
+/// one draw in kSamplePeriod (0, keeping none, under AMTNET_TELEMETRY=0).
+struct SamplerState {
+  std::uint64_t state = 0;  // 0 until the thread's first draw seeds it
+  std::uint64_t bound = 0;
+};
+inline thread_local SamplerState sampler_state;
+
+/// Seeds the calling thread's sampler with a distinct non-zero state.
+inline void seed_sampler(SamplerState& sampler) noexcept {
+  static std::atomic<std::uint64_t> next{0};
+  std::uint64_t seed = next.fetch_add(1, std::memory_order_relaxed);
+  sampler.state = common::splitmix64(seed) | 1;
+  sampler.bound =
+      timing_enabled() ? ~std::uint64_t{0} / kSamplePeriod + 1 : 0;
+}
+}  // namespace detail
+
+/// Whether to time this operation: true with probability 1/kSamplePeriod,
+/// drawn independently per call from a per-thread xorshift64 stream (no
+/// shared cache line is written). Independent draws keep any call pattern
+/// from aliasing with the period: two sites alternating on one thread, or
+/// one site always hit at the same position of a burst, are each sampled at
+/// the full rate. Always false under AMTNET_TELEMETRY=0, at the same cost.
+inline bool sampled() noexcept {
+  detail::SamplerState& sampler = detail::sampler_state;
+  if (sampler.state == 0) [[unlikely]] detail::seed_sampler(sampler);
+  std::uint64_t x = sampler.state;
+  x ^= x << 13;
+  x ^= x >> 7;
+  x ^= x << 17;
+  sampler.state = x;
+  return x < sampler.bound;
+}
 
 /// Monotonic counter, sharded across cache lines to avoid false sharing.
 class Counter {
@@ -204,28 +265,9 @@ class Histogram {
   std::atomic<std::uint64_t> max_{0};
 };
 
-/// RAII timer recording elapsed nanoseconds into a histogram. Honours the
-/// AMTNET_TELEMETRY kill switch (no clock reads when disabled).
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram& histogram) noexcept
-      : histogram_(timing_enabled() ? &histogram : nullptr),
-        start_(histogram_ != nullptr ? common::now_ns() : 0) {}
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-  ~ScopedTimer() {
-    if (histogram_ != nullptr) {
-      histogram_->record(
-          static_cast<std::uint64_t>(common::now_ns() - start_));
-    }
-  }
-
- private:
-  Histogram* histogram_;
-  common::Nanos start_;
-};
-
 #else  // AMTNET_TELEMETRY_DISABLED — every primitive is an inline no-op.
+
+inline constexpr bool sampled() noexcept { return false; }
 
 class Counter {
  public:
@@ -255,13 +297,49 @@ class Histogram {
   }
 };
 
+#endif  // AMTNET_TELEMETRY_DISABLED
+
+/// Start stamp of a timed operation: now_ns() when sampled(), else 0 (no
+/// clock read). Pair with record_since() or time_completion().
+inline common::Nanos sample_start() noexcept {
+  return sampled() ? common::now_ns() : 0;
+}
+
+/// Records the time since `start` into `histogram`; a 0 `start` (an
+/// unsampled operation) records nothing and reads no clock.
+inline void record_since(Histogram& histogram, common::Nanos start) noexcept {
+  if (start != 0) {
+    histogram.record(static_cast<std::uint64_t>(common::now_ns() - start));
+  }
+}
+
+/// Makes the completion callback `done` record the time since `start` into
+/// `histogram` before it runs. An unsampled operation (`start` == 0) keeps
+/// `done` as it is, so it pays no wrapper (a wrapper around a callable that
+/// fills the inline buffer is a heap allocation).
+template <class Callback>
+void time_completion(Histogram& histogram, common::Nanos start,
+                     Callback& done) {
+  if (start == 0) return;
+  done = [&histogram, start, inner = std::move(done)]() mutable {
+    record_since(histogram, start);
+    inner();
+  };
+}
+
+/// RAII timer recording the scope's elapsed nanoseconds into a histogram,
+/// for sampled() scopes only.
 class ScopedTimer {
  public:
-  explicit ScopedTimer(Histogram&) noexcept {}
+  explicit ScopedTimer(Histogram& histogram) noexcept
+      : histogram_(histogram), start_(sample_start()) {}
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
-};
+  ~ScopedTimer() { record_since(histogram_, start_); }
 
-#endif  // AMTNET_TELEMETRY_DISABLED
+ private:
+  Histogram& histogram_;
+  common::Nanos start_;
+};
 
 }  // namespace telemetry

@@ -1,6 +1,7 @@
 // Compiled with -DAMTNET_TELEMETRY_DISABLED (see CMakeLists.txt) to prove the
 // no-op stubs keep instrumented code compiling and linking. Exercises every
 // public entry point an instrumented module uses.
+#include "common/unique_function.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace telemetry::noop_check {
@@ -14,6 +15,9 @@ std::uint64_t exercise_all() {
   gauge.sub(1);
   Histogram& histogram = registry.histogram("check/histogram");
   histogram.record(42);
+  record_since(histogram, sample_start());
+  common::UniqueFunction<void()> done = [] {};
+  time_completion(histogram, 0, done);
   {
     ScopedTimer timer(histogram);
     AMTNET_TRACE_SCOPE("check", "scope");
@@ -23,7 +27,8 @@ std::uint64_t exercise_all() {
   const Snapshot snap = registry.snapshot();
   return counter.value() + static_cast<std::uint64_t>(gauge.value()) +
          histogram.count() + histogram.percentile(0.5) +
-         snap.counters.size() + TraceRecorder::instance().dropped();
+         snap.counters.size() + TraceRecorder::instance().dropped() +
+         (sampled() ? 1 : 0);
 }
 
 }  // namespace telemetry::noop_check

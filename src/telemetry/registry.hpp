@@ -31,7 +31,11 @@ struct HistogramSummary {
 
 /// Point-in-time aggregation of a Registry: one pass over every shard.
 /// All values are relaxed reads taken during the same snapshot() call; they
-/// are individually coherent but not a cross-metric atomic cut.
+/// are individually coherent but not a cross-metric atomic cut. Counters are
+/// exact. A timing histogram (fed by the sampled timers in metrics.hpp)
+/// holds one operation in kSamplePeriod: its count is a sample count,
+/// sum/count an unbiased mean, the percentiles estimates from the samples,
+/// and max the largest sample.
 struct Snapshot {
   /// Identity of the process/registry that produced the snapshot (e.g.
   /// backend=shm, locality_rank=2 in multi-process runs), set via

@@ -4,7 +4,9 @@
 //   Counter    — sharded relaxed monotonic counter
 //   Gauge      — sharded relaxed up/down counter
 //   Histogram  — log-bucketed latency histogram (p50/p90/p99/max)
-//   ScopedTimer— RAII ns timer into a Histogram (AMTNET_TELEMETRY gated)
+//   sampled() / ScopedTimer / sample_start + record_since / time_completion
+//              — timing into a Histogram for one operation in kSamplePeriod
+//                (AMTNET_TELEMETRY gated)
 //   TraceRecorder / AMTNET_TRACE_SCOPE / AMTNET_TRACE_INSTANT
 //              — Chrome trace-event recording (AMTNET_TRACE_FILE gated)
 //

@@ -11,7 +11,7 @@ namespace telemetry {
 TraceRecorder& TraceRecorder::instance() {
   static TraceRecorder recorder;
   static const bool initialized = [] {
-    recorder.set_enabled(timing_enabled() && !env_trace_file().empty());
+    recorder.set_enabled(!env_trace_file().empty());
     return true;
   }();
   (void)initialized;

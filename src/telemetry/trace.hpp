@@ -48,8 +48,9 @@ class TraceRecorder {
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
+  /// Turns recording on or off; AMTNET_TELEMETRY=0 keeps it off.
   void set_enabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
+    enabled_.store(enabled && timing_enabled(), std::memory_order_relaxed);
   }
   bool enabled() const {
     return enabled_.load(std::memory_order_relaxed);

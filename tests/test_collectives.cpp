@@ -234,24 +234,24 @@ INSTANTIATE_TEST_SUITE_P(Backends, Collectives,
 // non-power-of-two locality counts (the binomial/rd/ring non-pow2 special
 // cases: vrank rotation, the pre/post fold of the 2*rem ranks, uneven ring
 // chunks), across every parcelport variant. The family is forced through
-// the same coll<ALGO> config token users would write.
+// the same coll<ALGO> config token users would write, one runtime each.
 TEST_P(Collectives, NonPowerOfTwoEveryAlgorithmFamily) {
   for (const amt::Rank n : {amt::Rank{3}, amt::Rank{5}, amt::Rank{9}}) {
-    amtnet::StackOptions options;
-    options.parcelport = GetParam();
-    options.num_localities = n;
-    options.threads_per_locality = 1;
-    auto runtime = amtnet::make_runtime(options);
     for (const char* force : {"auto", "central", "tree", "rd", "ring"}) {
-      SCOPED_TRACE(std::string(GetParam()) + " n=" + std::to_string(n) +
-                   " force=" + force);
-      ScopedEnv env("AMTNET_COLL_ALGO", force);
+      amtnet::StackOptions options;
+      options.parcelport = std::string(GetParam()) + "_coll" + force;
+      options.num_localities = n;
+      options.threads_per_locality = 1;
+      SCOPED_TRACE(options.parcelport + " n=" + std::to_string(n));
+      auto runtime = amtnet::make_runtime(options);
       CollectiveGroup group(*runtime);
+      EXPECT_EQ(group.tuning().force,
+                std::string(force) == "auto" ? "" : force);
       std::atomic<int> wrong{0};
       exercise_all_ops(*runtime, group, 16, wrong);
       EXPECT_EQ(wrong.load(), 0);
+      runtime->stop();
     }
-    runtime->stop();
   }
 }
 

@@ -5,6 +5,8 @@
 
 #include <atomic>
 #include <cstring>
+#include <fstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -31,6 +33,22 @@ std::vector<RxEvent> poll_all(Nic& nic, std::size_t expected,
       },
       timeout);
   return events;
+}
+
+/// Resident set size of this process in KiB (VmRSS from /proc/self/status),
+/// or 0 where it cannot be read.
+std::size_t resident_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmRSS:") {
+      std::size_t kib = 0;
+      status >> kib;
+      return kib;
+    }
+    status.ignore(1024, '\n');
+  }
+  return 0;
 }
 
 }  // namespace
@@ -203,6 +221,15 @@ TEST(Fabric, SrqExhaustionStallsThenRecovers) {
   held.clear();  // recycle SRQ buffers
   auto rest = poll_all(fabric.nic(1), 4);
   EXPECT_EQ(rest.size(), 4u);
+}
+
+TEST(Fabric, SrqCreditsCostNoBufferMemory) {
+  // The SRQ models 4096 x 16 KiB receive buffers per NIC by count alone;
+  // backing them with memory would make every NIC resident for 64 MiB.
+  const std::size_t before = resident_kib();
+  if (before == 0) GTEST_SKIP() << "no /proc/self/status VmRSS";
+  Fabric fabric(Profile::loopback(2));
+  EXPECT_LT(resident_kib() - before, 32u * 1024);
 }
 
 TEST(Fabric, RdmaWriteLandsInRegisteredMemory) {

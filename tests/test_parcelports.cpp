@@ -1047,6 +1047,28 @@ TEST(HeaderSeqTracker, ToleratesReorderingWithinWindow) {
   EXPECT_FALSE(tracker.accept(10));
 }
 
+TEST(HeaderSeqTracker, AcceptsAStragglerFarBehindExactlyOnce) {
+  // A sender descheduled between taking its seq and posting lets the other
+  // senders move the flood tens of thousands of generations on; its parcel
+  // is a straggler, not a duplicate. (The earlier 64-bit bitmap rejected
+  // anything 2^15 behind as stale and aborted such floods.)
+  amt::HeaderSeqTracker tracker;
+  constexpr std::uint32_t kLate = 5;
+  constexpr std::uint32_t kNever = 7;
+  for (std::uint32_t seq = 0; seq <= 40000; ++seq) {
+    if (seq == kLate || seq == kNever) continue;
+    ASSERT_TRUE(tracker.accept(seq)) << "generation " << seq;
+  }
+  EXPECT_TRUE(tracker.accept(kLate));   // 39995 behind: a straggler
+  EXPECT_FALSE(tracker.accept(kLate));  // its second copy is a duplicate
+  EXPECT_FALSE(tracker.accept(1000));   // duplicate deep inside the window
+  constexpr std::uint32_t kWindow = amt::HeaderSeqTracker::kWindow;
+  for (std::uint32_t seq = 40001; seq <= kNever + kWindow; ++seq) {
+    ASSERT_TRUE(tracker.accept(seq)) << "generation " << seq;
+  }
+  EXPECT_FALSE(tracker.accept(kNever));  // past the window: presumed stale
+}
+
 TEST(HeaderSeqTracker, LongFloodRejectsStaleDuplicateAtTheOldU16Wrap) {
   // Regression for the 16-bit tracker: after 2^16 generations, a stale
   // duplicate of an early seq aliased onto a small *forward* delta

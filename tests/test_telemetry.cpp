@@ -1,7 +1,8 @@
 // Tests for the telemetry subsystem: counter/gauge exactness under
 // concurrency, histogram bucket maths and percentile bounds, registry
-// find-or-create and snapshot aggregation, exporters (CSV/JSON), and the
-// Chrome trace recorder (emitted JSON must actually parse).
+// find-or-create and snapshot aggregation, the sampled timers (rate, no
+// aliasing with call patterns, the kill switch), exporters (CSV/JSON), and
+// the Chrome trace recorder (emitted JSON must actually parse).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -10,6 +11,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -337,11 +339,109 @@ TEST(Histogram, ConcurrentRecordsKeepExactCount) {
   EXPECT_EQ(histogram.count(), kThreads * kPerThread);
 }
 
+// ---------------- Sampled timers ----------------
+//
+// Each timed operation is kept with probability 1/kSamplePeriod, so a
+// site's sample count over kTimed operations is Binomial(kTimed, 1/16):
+// mean 2048, standard deviation ~44. kSampleSlack (25%, ~11 sd) makes a
+// false failure practically impossible while a sampler that keeps a
+// different share (every operation, none, 1 in 8 or 1 in 32) still fails.
+// The same cases run a second time under AMTNET_TELEMETRY=0 (ctest
+// test_telemetry_timing_off), where every expectation is zero samples.
+
+constexpr std::uint64_t kTimed = 32 * 1024;
+constexpr std::uint64_t kSampleSlack = kTimed / telemetry::kSamplePeriod / 4;
+
+std::uint64_t expected_samples(std::uint64_t operations) {
+  return telemetry::timing_enabled()
+             ? operations / telemetry::kSamplePeriod
+             : 0;
+}
+
+void expect_about(std::uint64_t samples, std::uint64_t expected,
+                  std::uint64_t slack) {
+  EXPECT_GE(samples + slack, expected);
+  EXPECT_LE(samples, expected + slack);
+}
+
 TEST(ScopedTimer, RecordsIffTimingEnabled) {
+  // AMTNET_TELEMETRY is read once per process. With timing on, a scope is
+  // timed when sampled (one in kSamplePeriod); with it off, never.
   telemetry::Histogram histogram;
-  { telemetry::ScopedTimer timer(histogram); }
-  // AMTNET_TELEMETRY is read once per process; the timer must agree with it.
-  EXPECT_EQ(histogram.count(), telemetry::timing_enabled() ? 1u : 0u);
+  for (std::uint64_t i = 0; i < kTimed; ++i) {
+    telemetry::ScopedTimer timer(histogram);
+  }
+  const std::uint64_t expected = expected_samples(kTimed);
+  expect_about(histogram.count(), expected, expected == 0 ? 0 : kSampleSlack);
+}
+
+TEST(Sampler, TwoAlternatingSitesBothKeepTheirShare) {
+  // The aliasing guard: one per-thread "every 16th call" counter shared by
+  // two alternating sites would hand every sample to one of them.
+  telemetry::Histogram first;
+  telemetry::Histogram second;
+  for (std::uint64_t i = 0; i < kTimed; ++i) {
+    { telemetry::ScopedTimer timer(first); }
+    telemetry::record_since(second, telemetry::sample_start());
+  }
+  const std::uint64_t expected = expected_samples(kTimed);
+  const std::uint64_t slack = expected == 0 ? 0 : kSampleSlack;
+  expect_about(first.count(), expected, slack);
+  expect_about(second.count(), expected, slack);
+}
+
+TEST(Sampler, EveryBurstPositionIsSampled) {
+  // A sender issues parcels in bursts of 16: a per-site "every 16th call"
+  // counter would time the same burst position forever.
+  constexpr std::uint64_t kBursts = kTimed / telemetry::kSamplePeriod;
+  std::array<std::uint64_t, telemetry::kSamplePeriod> per_position{};
+  for (std::uint64_t burst = 0; burst < kBursts; ++burst) {
+    for (auto& samples : per_position) samples += telemetry::sampled();
+  }
+  // Binomial(2048, 1/16) per position: mean 128, sd ~11.
+  const std::uint64_t expected = expected_samples(kBursts);
+  for (const std::uint64_t samples : per_position) {
+    expect_about(samples, expected, expected / 2);
+  }
+}
+
+TEST(Sampler, CountersStayExact) {
+  telemetry::Counter counter;
+  telemetry::Histogram histogram;
+  for (std::uint64_t i = 0; i < kTimed; ++i) {
+    telemetry::ScopedTimer timer(histogram);
+    counter.add();
+  }
+  EXPECT_EQ(counter.value(), kTimed);
+  const std::uint64_t expected = expected_samples(kTimed);
+  expect_about(histogram.count(), expected, expected == 0 ? 0 : kSampleSlack);
+}
+
+TEST(Sampler, KillSwitchYieldsNoSamples) {
+  if (telemetry::timing_enabled()) {
+    GTEST_SKIP() << "runs under AMTNET_TELEMETRY=0 (test_telemetry_timing_off)";
+  }
+  for (std::uint64_t i = 0; i < kTimed; ++i) {
+    ASSERT_FALSE(telemetry::sampled());
+    ASSERT_EQ(telemetry::sample_start(), 0);
+  }
+}
+
+TEST(Sampler, TimeCompletionWrapsOnlySampledOperations) {
+  telemetry::Histogram histogram;
+  int calls = 0;
+  std::function<void()> done = [&calls] { ++calls; };
+  telemetry::time_completion(histogram, 0, done);  // unsampled
+  done();
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(histogram.count(), 0u);
+
+  const common::Nanos start = common::now_ns() - 1000;
+  telemetry::time_completion(histogram, start, done);  // sampled
+  done();
+  EXPECT_EQ(calls, 2);
+  ASSERT_EQ(histogram.count(), 1u);
+  EXPECT_GE(histogram.sum(), 1000u);
 }
 
 // ---------------- Registry ----------------
@@ -525,6 +625,8 @@ TEST(TelemetryDisabled, PrimitivesAreNoOps) {
   histogram.record(123);
   { telemetry::ScopedTimer timer(histogram); }
   EXPECT_EQ(histogram.count(), 0u);
+  EXPECT_FALSE(telemetry::sampled());
+  EXPECT_EQ(telemetry::sample_start(), 0);
   EXPECT_EQ(histogram.percentile(0.99), 0u);
 }
 
