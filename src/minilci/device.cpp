@@ -70,11 +70,24 @@ std::string dev_metric(Rank rank, const char* leaf) {
   return "minilci/dev" + std::to_string(rank) + "/" + leaf;
 }
 
+// The local completion record of a send-side post.
+CqEntry local_entry(OpKind op, Rank dst, Tag tag, std::size_t size,
+                    std::uint64_t user_context) {
+  CqEntry entry;
+  entry.op = op;
+  entry.rank = dst;
+  entry.tag = tag;
+  entry.size = size;
+  entry.user_context = user_context;
+  return entry;
+}
+
 }  // namespace
 
 static_assert(sizeof(CtsPayload) <= 24 && sizeof(PutCtsPayload) <= 24 &&
                   sizeof(RdvHello) <= 24,
               "control payloads must fit the inline DeferredSend buffer");
+
 
 Device::Device(fabric::Fabric& fabric, Rank rank, Config config,
                CompQueue* remote_put_cq)
@@ -103,6 +116,10 @@ Device::Device(fabric::Fabric& fabric, Rank rank, Config config,
           fabric.telemetry().counter(dev_metric(rank, "pool_exhausted"))),
       ctr_pool_cache_hits_(
           fabric.telemetry().counter(dev_metric(rank, "pool_cache_hits"))),
+      ctr_backlogged_(
+          fabric.telemetry().counter(dev_metric(rank, "backlogged"))),
+      gauge_backlog_depth_(
+          fabric.telemetry().gauge(dev_metric(rank, "backlog_depth"))),
       hist_progress_ns_(
           fabric.telemetry().histogram(dev_metric(rank, "progress_ns"))) {
   // Integrity mode appends an 8-byte trailer to every eager send.
@@ -117,34 +134,17 @@ common::Status Device::sendm(Rank dst, Tag tag, const void* data,
                              std::size_t len, const Comp& local_comp,
                              std::uint64_t user_context) {
   if (len > config_.eager_threshold) return common::Status::kError;
-  const common::Status status =
-      rel_.send(dst, data, len, make_imm(MsgKind::kMedium, tag));
-  if (status != common::Status::kOk) return status;
-  CqEntry entry;
-  entry.op = OpKind::kSendMedium;
-  entry.rank = dst;
-  entry.tag = tag;
-  entry.size = len;
-  entry.user_context = user_context;
-  signal_completion(local_comp, std::move(entry));
+  post_copy(dst, make_imm(MsgKind::kMedium, tag), data, len, local_comp,
+            local_entry(OpKind::kSendMedium, dst, tag, len, user_context));
   return common::Status::kOk;
 }
 
 common::Status Device::sendm_packet(Rank dst, Tag tag, PacketBuffer& packet,
                                     const Comp& local_comp,
                                     std::uint64_t user_context) {
-  assert(packet.valid() && packet.size() <= config_.eager_threshold);
-  const common::Status status = rel_.send(
-      dst, packet.data(), packet.size(), make_imm(MsgKind::kMedium, tag));
-  if (status != common::Status::kOk) return status;
-  CqEntry entry;
-  entry.op = OpKind::kSendMedium;
-  entry.rank = dst;
-  entry.tag = tag;
-  entry.size = packet.size();
-  entry.user_context = user_context;
-  packet.release();  // fabric copied; recycle the pool buffer
-  signal_completion(local_comp, std::move(entry));
+  post_packet(
+      dst, make_imm(MsgKind::kMedium, tag), packet, local_comp,
+      local_entry(OpKind::kSendMedium, dst, tag, packet.size(), user_context));
   return common::Status::kOk;
 }
 
@@ -189,12 +189,7 @@ common::Status Device::sendl(Rank dst, Tag tag, const void* data,
   const std::uint32_t crc =
       integrity_on_ ? common::crc32(data, len) : 0;
   const RdvHello hello{len, id, crc};
-  const common::Status status =
-      rel_.send(dst, &hello, sizeof(hello), make_imm(MsgKind::kRts, tag));
-  if (status != common::Status::kOk) {
-    rdv_sends_.extract(id);
-    return status;
-  }
+  send_ctrl(dst, make_imm(MsgKind::kRts, tag), &hello, sizeof(hello));
   return common::Status::kOk;
 }
 
@@ -248,30 +243,11 @@ void Device::handle_cts(Rank src, const std::byte* payload, std::size_t len) {
   RdvSend& rdv = *extracted;
   const std::size_t to_write =
       std::min<std::size_t>(rdv.len, cts.max_len);
-  CqEntry entry;
-  entry.op = OpKind::kSendLong;
-  entry.rank = rdv.dst;
-  entry.tag = rdv.tag;
-  entry.size = to_write;
-  entry.user_context = rdv.user_context;
-  if (nic_.post_write_imm(src, fabric::MrKey{src, cts.mr_id}, 0, rdv.data,
-                          to_write, make_imm(MsgKind::kFin, cts.recv_id)) ==
-      common::Status::kOk) {
-    signal_completion(rdv.comp, std::move(entry));
-    return;
-  }
-  // TX window full: buffer the write and retry from progress. The fabric
-  // copies at post time, so once the deferred post succeeds the semantics
-  // are identical.
-  DeferredSend deferred;
-  deferred.dst = src;
-  deferred.imm = make_imm(MsgKind::kFin, cts.recv_id);
-  deferred.payload.assign(rdv.data, rdv.data + to_write);
-  deferred.is_write = true;
-  deferred.write_mr_id = cts.mr_id;
-  deferred.comp = rdv.comp;
-  deferred.entry = std::move(entry);
-  defer_send(std::move(deferred));
+  post_copy(src, make_imm(MsgKind::kFin, cts.recv_id), rdv.data, to_write,
+            rdv.comp,
+            local_entry(OpKind::kSendLong, rdv.dst, rdv.tag, to_write,
+                        rdv.user_context),
+            cts.mr_id);
 }
 
 void Device::handle_fin(std::uint32_t recv_id, std::size_t written) {
@@ -350,14 +326,9 @@ common::Status Device::put_dyn(Rank dst, Tag tag, const void* data,
                                std::size_t len, const Comp& local_comp,
                                std::uint64_t user_context) {
   if (len <= config_.eager_threshold) {
-    // Stage the payload in a pool packet and reuse the packet injection
-    // path: the eager put allocates nothing in steady state. Pool
-    // exhaustion is transient-resource pressure, i.e. kRetry.
-    auto packet = try_alloc_packet();
-    if (!packet) return common::Status::kRetry;
-    std::memcpy(packet->data(), data, len);
-    packet->set_size(len);
-    return put_dyn_packet(dst, tag, *packet, local_comp, user_context);
+    post_copy(dst, make_imm(MsgKind::kPutEager, tag), data, len, local_comp,
+              local_entry(OpKind::kPutDyn, dst, tag, len, user_context));
+    return common::Status::kOk;
   }
   // Large put: rendezvous with target-side allocation. The payload is copied
   // so the caller's buffer is reusable on return (buffered-put semantics).
@@ -372,30 +343,16 @@ common::Status Device::put_dyn(Rank dst, Tag tag, const void* data,
   const std::uint32_t crc =
       integrity_on_ ? common::crc32(data, len) : 0;
   const RdvHello hello{len, id, crc};
-  const common::Status status = rel_.send(
-      dst, &hello, sizeof(hello), make_imm(MsgKind::kPutRts, tag));
-  if (status != common::Status::kOk) {
-    put_sends_.extract(id);
-    return status;
-  }
+  send_ctrl(dst, make_imm(MsgKind::kPutRts, tag), &hello, sizeof(hello));
   return common::Status::kOk;
 }
 
 common::Status Device::put_dyn_packet(Rank dst, Tag tag, PacketBuffer& packet,
                                       const Comp& local_comp,
                                       std::uint64_t user_context) {
-  assert(packet.valid() && packet.size() <= config_.eager_threshold);
-  const common::Status status = rel_.send(
-      dst, packet.data(), packet.size(), make_imm(MsgKind::kPutEager, tag));
-  if (status != common::Status::kOk) return status;
-  CqEntry entry;
-  entry.op = OpKind::kPutDyn;
-  entry.rank = dst;
-  entry.tag = tag;
-  entry.size = packet.size();
-  entry.user_context = user_context;
-  packet.release();
-  signal_completion(local_comp, std::move(entry));
+  post_packet(
+      dst, make_imm(MsgKind::kPutEager, tag), packet, local_comp,
+      local_entry(OpKind::kPutDyn, dst, tag, packet.size(), user_context));
   return common::Status::kOk;
 }
 
@@ -439,28 +396,12 @@ void Device::handle_put_cts(Rank src, const std::byte* payload,
     return;
   }
   PutSend& put = *extracted;
-  CqEntry entry;
-  entry.op = OpKind::kPutDyn;
-  entry.rank = put.dst;
-  entry.tag = put.tag;
-  entry.size = put.data.size();
-  entry.user_context = put.user_context;
-  if (nic_.post_write_imm(src, fabric::MrKey{src, cts.mr_id}, 0,
-                          put.data.data(), put.data.size(),
-                          make_imm(MsgKind::kPutFin, cts.recv_id)) ==
-      common::Status::kOk) {
-    signal_completion(put.comp, std::move(entry));
-    return;
-  }
-  DeferredSend deferred;
-  deferred.dst = src;
-  deferred.imm = make_imm(MsgKind::kPutFin, cts.recv_id);
-  deferred.payload = std::move(put.data);
-  deferred.is_write = true;
-  deferred.write_mr_id = cts.mr_id;
-  deferred.comp = put.comp;
-  deferred.entry = std::move(entry);
-  defer_send(std::move(deferred));
+  const std::size_t size = put.data.size();
+  post_copy(src, make_imm(MsgKind::kPutFin, cts.recv_id), put.data.data(),
+            size, put.comp,
+            local_entry(OpKind::kPutDyn, put.dst, put.tag, size,
+                        put.user_context),
+            cts.mr_id);
 }
 
 void Device::handle_put_fin(std::uint32_t recv_id) {
@@ -495,71 +436,113 @@ void Device::handle_put_fin(std::uint32_t recv_id) {
 
 // ---- progress engine ---------------------------------------------------------
 
-void Device::send_ctrl(Rank dst, std::uint64_t imm, const void* payload,
-                       std::size_t len) {
-  assert(len <= kMaxCtrlPayload);
-  if (rel_.send(dst, payload, len, imm) == common::Status::kOk) {
+common::Status Device::inject(Rank dst, std::uint64_t imm, const void* data,
+                              std::size_t len,
+                              std::optional<std::uint64_t> write_mr) {
+  if (write_mr) {
+    return nic_.post_write_imm(dst, fabric::MrKey{dst, *write_mr}, 0, data,
+                               len, imm);
+  }
+  return rel_.send(dst, data, len, imm);
+}
+
+void Device::post_copy(Rank dst, std::uint64_t imm, const void* data,
+                       std::size_t len, const Comp& comp, CqEntry&& entry,
+                       std::optional<std::uint64_t> write_mr) {
+  if (backlog_clear(dst) &&
+      inject(dst, imm, data, len, write_mr) == common::Status::kOk) {
+    signal_completion(comp, std::move(entry));
     return;
   }
-  DeferredSend deferred;
-  deferred.dst = dst;
-  deferred.imm = imm;
-  std::memcpy(deferred.ctrl.data(), payload, len);
-  deferred.ctrl_len = len;
-  defer_send(std::move(deferred));
-}
-
-void Device::defer_send(DeferredSend&& deferred) {
-  // Count before publishing: a progress call that observes the element must
-  // also observe a nonzero count.
-  const Rank dst = deferred.dst;
-  deferred_count_.fetch_add(1, std::memory_order_release);
-  deferred_lanes_[dst].value.queue.push(std::move(deferred));
-}
-
-void Device::retry_deferred() {
-  if (deferred_count_.load(std::memory_order_acquire) == 0) return;
-  for (auto& padded : deferred_lanes_) {
-    DeferredLane& lane = padded.value;
-    if (!lane.consumer.try_lock()) continue;  // another thread drains it
-    bool lane_blocked = false;
-    const auto try_post = [&](DeferredSend&& msg) {
-      common::Status status;
-      if (msg.is_write) {
-        status = nic_.post_write_imm(
-            msg.dst, fabric::MrKey{msg.dst, msg.write_mr_id}, 0,
-            msg.payload.data(), msg.payload.size(), msg.imm);
-      } else {
-        status = rel_.send(msg.dst, msg.ctrl.data(), msg.ctrl_len, msg.imm);
-      }
-      if (status != common::Status::kOk) {
-        // Still refused: re-park at the head so per-destination FIFO order
-        // survives, and stop hammering this destination until next time.
-        lane.stalled.push_front(std::move(msg));
-        lane_blocked = true;
-        return;
-      }
-      deferred_count_.fetch_sub(1, std::memory_order_relaxed);
-      signal_completion(msg.comp, std::move(msg.entry));
-    };
-    while (!lane_blocked && !lane.stalled.empty()) {
-      DeferredSend msg = std::move(lane.stalled.front());
-      lane.stalled.pop_front();
-      try_post(std::move(msg));
-    }
-    while (!lane_blocked) {
-      auto msg = lane.queue.try_pop();
-      if (!msg) break;
-      try_post(std::move(*msg));
-    }
-    lane.consumer.unlock();
+  // The fabric copies at post time, so a copy posted later has identical
+  // semantics.
+  DeferredSend parked;
+  parked.dst = dst;
+  parked.imm = imm;
+  const auto* bytes = static_cast<const std::byte*>(data);
+  if (len <= kMaxCtrlPayload) {
+    if (len > 0) std::memcpy(parked.ctrl.data(), bytes, len);
+    parked.ctrl_len = len;
+  } else {
+    parked.payload.assign(bytes, bytes + len);
   }
+  parked.write_mr = write_mr;
+  parked.comp = comp;
+  parked.entry = std::move(entry);
+  park(std::move(parked));
+}
+
+void Device::post_packet(Rank dst, std::uint64_t imm, PacketBuffer& packet,
+                         const Comp& comp, CqEntry&& entry) {
+  assert(packet.valid() && packet.size() <= config_.eager_threshold);
+  if (backlog_clear(dst) &&
+      rel_.send(dst, packet.data(), packet.size(), imm) ==
+          common::Status::kOk) {
+    packet.release();  // fabric copied; recycle the pool buffer
+    signal_completion(comp, std::move(entry));
+    return;
+  }
+  DeferredSend parked;
+  parked.dst = dst;
+  parked.imm = imm;
+  parked.packet = std::move(packet);
+  parked.comp = comp;
+  parked.entry = std::move(entry);
+  park(std::move(parked));
+}
+
+void Device::park(DeferredSend&& parked) {
+  // Count before publishing: a post or a drain that observes the element
+  // must also observe nonzero counts.
+  DeferredLane& lane = deferred_lanes_[parked.dst].value;
+  lane.depth.fetch_add(1, std::memory_order_release);
+  deferred_count_.fetch_add(1, std::memory_order_release);
+  ctr_backlogged_.add();
+  gauge_backlog_depth_.add();
+  lane.queue.push(std::move(parked));
+}
+
+bool Device::backlog_clear(Rank dst) {
+  DeferredLane& lane = deferred_lanes_[dst].value;
+  if (lane.depth.load(std::memory_order_acquire) == 0) return true;
+  drain_lane(lane);
+  return lane.depth.load(std::memory_order_acquire) == 0;
+}
+
+void Device::drain_lane(DeferredLane& lane) {
+  if (!lane.consumer.try_lock()) return;  // another thread drains it
+  // Posts at most what was parked on entry. Producers may keep appending,
+  // and a drain that chased them would starve its caller: a poster helping
+  // here holds its own post, already stamped by the parcelport, back.
+  for (std::size_t budget = lane.depth.load(std::memory_order_acquire);
+       budget > 0; --budget) {
+    if (!lane.head && !(lane.head = lane.queue.try_pop())) break;
+    DeferredSend& msg = *lane.head;
+    // Still refused: it stays at the head, so per-destination FIFO order
+    // survives, and this destination is left alone until next time.
+    if (inject(msg.dst, msg.imm, msg.data(), msg.size(), msg.write_mr) !=
+        common::Status::kOk) {
+      break;
+    }
+    msg.packet.release();
+    lane.depth.fetch_sub(1, std::memory_order_release);
+    deferred_count_.fetch_sub(1, std::memory_order_relaxed);
+    gauge_backlog_depth_.sub();
+    signal_completion(msg.comp, std::move(msg.entry));
+    lane.head.reset();
+  }
+  lane.consumer.unlock();
+}
+
+void Device::drain_backlog() {
+  if (deferred_count_.load(std::memory_order_acquire) == 0) return;
+  for (auto& padded : deferred_lanes_) drain_lane(padded.value);
 }
 
 std::size_t Device::progress() {
   ctr_progress_calls_.add();
   telemetry::ScopedTimer timer(hist_progress_ns_);
-  retry_deferred();
+  drain_backlog();
   rel_.progress();
   return nic_.poll_rx(config_.progress_batch, [this](fabric::RxEvent&& event) {
     // The reliable sublayer strips its trailer, dedups, and swallows acks;

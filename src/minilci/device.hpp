@@ -3,13 +3,21 @@
 // devices is its future work). Owns the fabric NIC binding, the packet pool,
 // the matching table, and the rendezvous state; exposes the communication
 // primitives and the explicit, thread-safe progress() function.
+//
+// Every send-side post (the send/put primitives and the device's own control
+// messages and RDMA writes) goes through one backlog per destination, LCI's
+// LCIS_post_sends_bq: it reaches the NIC at once only while that backlog is
+// empty; otherwise, or when the NIC or the Reliable layer refuses it, it is
+// parked and still returns kOk. progress(), and the next post to that
+// destination, drain each backlog in FIFO order; a parked post's local
+// completion fires when it reaches the NIC. Only get() keeps LCI's explicit
+// kRetry.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -61,7 +69,8 @@ class Device {
                        const Comp& local_comp, std::uint64_t user_context = 0);
 
   /// Medium send from a pool packet assembled in place (no user-side copy).
-  /// On kOk the packet is consumed; on kRetry it stays with the caller.
+  /// Always consumes the packet: a parked post keeps it until injection, so
+  /// the packet pool bounds the backlog.
   common::Status sendm_packet(Rank dst, Tag tag, PacketBuffer& packet,
                               const Comp& local_comp,
                               std::uint64_t user_context = 0);
@@ -92,7 +101,8 @@ class Device {
 
   /// One-sided get: reads `len` bytes at `offset` inside the peer's
   /// registered buffer into `dst`, without peer software involvement.
-  /// Completion (kGet) signals the chosen local mechanism.
+  /// Completion (kGet) signals the chosen local mechanism. Not backlogged:
+  /// kRetry means nothing was posted.
   common::Status get(const RemoteBuffer& src, std::size_t offset, void* dst,
                      std::size_t len, const Comp& comp,
                      std::uint64_t user_context = 0);
@@ -105,7 +115,7 @@ class Device {
                          const Comp& local_comp, std::uint64_t user_context = 0);
 
   /// Dynamic put from a pool packet assembled in place (the parcelport's
-  /// header-message fast path). Consumes the packet on kOk.
+  /// header-message fast path). Always consumes the packet.
   common::Status put_dyn_packet(Rank dst, Tag tag, PacketBuffer& packet,
                                 const Comp& local_comp,
                                 std::uint64_t user_context = 0);
@@ -126,13 +136,16 @@ class Device {
 
   // ---- progress -----------------------------------------------------------
 
-  /// Drives the communication engine: drains the NIC, matches messages, and
-  /// fires completions. Thread-safe; concurrent callers cooperate through
-  /// try-locks (they never block each other). Returns packets processed.
+  /// Drives the communication engine: drains the backlogs and the NIC,
+  /// matches messages, and fires completions. Thread-safe; concurrent
+  /// callers cooperate through try-locks. Returns packets processed.
   std::size_t progress();
 
-  /// Racy idle hint for schedulers.
-  bool looks_idle() const { return !nic_.rx_looks_nonempty(); }
+  /// Racy idle hint for schedulers: nothing to receive and no parked post.
+  bool looks_idle() const {
+    return deferred_count_.load(std::memory_order_relaxed) == 0 &&
+           !nic_.rx_looks_nonempty();
+  }
 
   fabric::Nic& nic() { return nic_; }
 
@@ -175,24 +188,32 @@ class Device {
     std::uint32_t expected_crc = 0;  // integrity mode only (see RdvRecv)
   };
 
-  // Largest control-message payload (CtsPayload); deferred control sends
-  // buffer it inline instead of in a heap vector.
+  // Largest control-message payload (CtsPayload); a parked copy this small
+  // is buffered inline instead of in a heap vector.
   static constexpr std::size_t kMaxCtrlPayload = 24;
 
-  struct DeferredSend {  // message that hit TX back-pressure
+  struct DeferredSend {  // a post parked in its destination's backlog
     Rank dst = 0;
     std::uint64_t imm = 0;
-    // Control payloads are tiny and fixed-size: buffered inline. Deferred
-    // RDMA writes keep their (arbitrarily large) payload in the vector.
+    // The bytes to post: the caller's pool packet (a *_packet post, parked
+    // without a copy), else a copy, inline when it fits `ctrl`.
+    PacketBuffer packet;
     std::array<std::byte, kMaxCtrlPayload> ctrl{};
     std::size_t ctrl_len = 0;
     std::vector<std::byte> payload;
-    bool is_write = false;
-    std::uint64_t write_mr_id = 0;
-    // Completion to signal once actually injected (writes = local long-send
-    // completion), or none.
+    std::optional<std::uint64_t> write_mr;  // see inject()
+    // Local completion, fired once the post actually reaches the NIC.
     Comp comp;
     CqEntry entry;
+
+    const std::byte* data() const {
+      if (packet.valid()) return packet.data();
+      return payload.empty() ? ctrl.data() : payload.data();
+    }
+    std::size_t size() const {
+      if (packet.valid()) return packet.size();
+      return payload.empty() ? ctrl_len : payload.size();
+    }
   };
 
   void handle_event(fabric::RxEvent&& event);
@@ -211,12 +232,35 @@ class Device {
   void handle_put_cts(Rank src, const std::byte* payload, std::size_t len);
   void handle_put_fin(std::uint32_t recv_id);
   void handle_get_done(std::uint32_t get_id);
-  /// Posts a small fixed-size control message (RTS/CTS family) directly from
-  /// the caller's stack — the NIC copies at post time, so no heap buffer is
-  /// ever needed; TX back-pressure defers it into an inline buffer.
+  /// Posts a small fixed-size control message (RTS/CTS family) from the
+  /// caller's stack; a parked one is copied into the inline buffer.
   void send_ctrl(Rank dst, std::uint64_t imm, const void* payload,
-                 std::size_t len);
-  void retry_deferred();
+                 std::size_t len) {
+    post_copy(dst, imm, payload, len, Comp::none(), CqEntry{});
+  }
+
+  // ---- the backlog (see the file comment) ----
+  struct DeferredLane;
+  /// True when dst's backlog is empty, after helping to drain it: a post
+  /// that finds a backlog first moves what it can onto the NIC, so under a
+  /// flood the posting threads inject it, not progress alone.
+  bool backlog_clear(Rank dst);
+  /// One NIC post: an RDMA write into the peer's region `write_mr` when
+  /// given, else a two-sided send.
+  common::Status inject(Rank dst, std::uint64_t imm, const void* data,
+                        std::size_t len, std::optional<std::uint64_t> write_mr);
+  /// Posts the caller's bytes through the backlog; a parked post copies.
+  void post_copy(Rank dst, std::uint64_t imm, const void* data,
+                 std::size_t len, const Comp& comp, CqEntry&& entry,
+                 std::optional<std::uint64_t> write_mr = std::nullopt);
+  /// Two-sided post of a pool packet; consumes it either way.
+  void post_packet(Rank dst, std::uint64_t imm, PacketBuffer& packet,
+                   const Comp& comp, CqEntry&& entry);
+  void park(DeferredSend&& parked);
+  /// Posts a lane's parked posts in order until the NIC refuses one; skips
+  /// a lane another thread is draining.
+  void drain_lane(DeferredLane& lane);
+  void drain_backlog();
 
   fabric::Fabric& fabric_;
   fabric::Nic& nic_;
@@ -260,22 +304,22 @@ class Device {
   ShardedIdTable<PutRecv> put_recvs_;
   ShardedIdTable<PendingGet> pending_gets_;
 
-  // Messages that hit TX back-pressure wait in per-destination MPSC lanes:
-  // producers (any thread on the injection path) push wait-free, and
-  // progress threads drain each lane under a consumer try-lock, stopping at
-  // the first still-refused post (per-destination FIFO, no cross-destination
-  // head-of-line blocking). `stalled` re-parks the element a drain popped
-  // but could not post. The global count lets an idle progress call skip
-  // the whole sweep with one atomic load.
+  // The backlog: one MPSC lane per destination. Producers (any thread on
+  // the injection path) push wait-free; progress and posting threads drain
+  // each lane under a consumer try-lock, stopping at the first still-refused
+  // post (per-destination FIFO, no cross-destination head-of-line blocking).
+  // `head` keeps the element a drain popped but could not post. `depth`
+  // counts parked posts until they reach the NIC (a post that sees it
+  // nonzero drains or queues behind them); the global count lets an idle
+  // progress call skip the whole sweep with one atomic load.
   struct DeferredLane {
+    std::atomic<std::size_t> depth{0};
     queues::MpscQueue<DeferredSend> queue;
     common::SpinMutex consumer;
-    std::deque<DeferredSend> stalled;
+    std::optional<DeferredSend> head;
   };
   std::vector<common::CachePadded<DeferredLane>> deferred_lanes_;
   std::atomic<std::size_t> deferred_count_{0};
-
-  void defer_send(DeferredSend&& deferred);
 
   // Metrics under minilci/dev<rank>/... in the Fabric's registry.
   telemetry::Counter& ctr_progress_calls_;
@@ -284,6 +328,8 @@ class Device {
   telemetry::Counter& ctr_pool_exhausted_;
   telemetry::Counter& ctr_pool_cache_hits_;  // packet allocs served by the
                                              // per-slot magazine
+  telemetry::Counter& ctr_backlogged_;  // posts parked in a backlog
+  telemetry::Gauge& gauge_backlog_depth_;  // posts parked right now
   telemetry::Histogram& hist_progress_ns_;  // sampled progress() duration
 };
 

@@ -11,8 +11,9 @@
 // Magazines are taken with a try-lock; a collision on the slot simply falls
 // through to the shared list, so no path ever blocks.
 //
-// Exhaustion is a transient condition surfaced to the caller as
-// Status::kRetry, per LCI's explicit-retry contract.
+// Exhaustion is a transient condition: try_alloc returns nullopt and the
+// caller waits for a packet to come back. Packets parked in a Device's send
+// backlog stay allocated, so the pool also bounds that backlog.
 #pragma once
 
 #include <array>

@@ -8,8 +8,9 @@
 //     on the remote side,
 //   * three completion mechanisms — completion queues, synchronizers, and
 //     function handlers — combinable with any primitive,
-//   * explicit progress() and explicit retry: every injection returns
-//     Status::kRetry under transient resource exhaustion,
+//   * explicit progress() and one send backlog per destination: a post the
+//     NIC cannot take parks and is injected by progress(), so sends and puts
+//     never return Status::kRetry (get() still does),
 //   * no ordering guarantee between messages (the fabric stripes rails).
 //
 // Concurrency discipline (the paper's point (a)): no global lock anywhere —

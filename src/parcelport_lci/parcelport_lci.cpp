@@ -283,23 +283,27 @@ std::uint32_t LciParcelport::alloc_tags(std::size_t count) {
   }
 }
 
-void LciParcelport::send_backoff(unsigned& round) {
-  // Bounded exponential backoff: spin-wait 2^round pauses (capped), then
-  // start yielding to the OS. Keeps retry storms off the NIC and the free
-  // list while staying responsive when the resource frees up quickly. In
-  // mt mode the caller may be the only thread able to make progress, so it
-  // polls the device first.
+std::optional<minilci::PacketBuffer> LciParcelport::wait_for_packet(
+    unsigned max_rounds) {
+  // The one send-side wait: the packet pool, which also bounds the packets
+  // parked in minilci's backlog, is empty. Back off exponentially — spin
+  // 2^round pauses (capped), then start yielding to the OS. In mt mode the
+  // caller may be the only thread able to make progress (which drains the
+  // backlog and so frees packets), so it polls the device first.
   constexpr unsigned kCapShift = 10;
-  if (progress_type_ == amt::ParcelportConfig::ProgressType::kWorker) {
-    try_progress();
+  for (unsigned round = 0;; ++round) {
+    if (auto packet = device_.try_alloc_packet()) return packet;
+    if (round == max_rounds) return std::nullopt;
+    if (progress_type_ == amt::ParcelportConfig::ProgressType::kWorker) {
+      try_progress();
+    }
+    ctr_send_retries_.add();
+    const unsigned shift = std::min(round, kCapShift);
+    for (unsigned i = 0; i < (1u << shift); ++i) {
+      common::SpinMutex::cpu_relax();
+    }
+    if (shift == kCapShift) std::this_thread::yield();
   }
-  ctr_send_retries_.add();
-  const unsigned shift = std::min(round, kCapShift);
-  for (unsigned i = 0; i < (1u << shift); ++i) {
-    common::SpinMutex::cpu_relax();
-  }
-  if (shift == kCapShift) std::this_thread::yield();
-  ++round;
 }
 
 bool LciParcelport::inject_packet(amt::Rank dst, minilci::Tag tag,
@@ -307,31 +311,20 @@ bool LciParcelport::inject_packet(amt::Rank dst, minilci::Tag tag,
                                   const minilci::Comp& comp,
                                   std::uint64_t ctx) {
   // Assemble the message directly in an LCI packet buffer (saves a copy on
-  // the eager path — paper §3.2.1), then inject it, retrying with bounded
-  // backoff on transient resource exhaustion per LCI's explicit-retry
-  // contract.
-  std::optional<minilci::PacketBuffer> packet;
-  unsigned round = 0;
-  while (!(packet = device_.try_alloc_packet())) {
-    send_backoff(round);
-    if (round == alloc_rounds) return false;
+  // the eager path — paper §3.2.1). The post is never refused: one the NIC
+  // cannot take now parks, packet and all, in minilci's backlog, and its
+  // completion fires when it is injected.
+  std::optional<minilci::PacketBuffer> packet = wait_for_packet(alloc_rounds);
+  if (!packet) return false;
+  const std::uint32_t seq =
+      header_seq_tx_[dst].value.fetch_add(1, std::memory_order_relaxed);
+  packet->set_size(encode(seq, packet->data(), packet->capacity()));
+  if (protocol_ == amt::ParcelportConfig::Protocol::kPutSendRecv) {
+    device_.put_dyn_packet(dst, tag, *packet, comp, ctx);
+  } else {
+    device_.sendm_packet(dst, tag, *packet, comp, ctx);
   }
-  // Every attempt stamps a fresh seq: a sender starved through many retry
-  // rounds while other threads keep posting to `dst` would otherwise arrive
-  // behind the receiver's duplicate window (amt::HeaderSeqTracker). The
-  // seqs of failed attempts are never sent; the tracker skips such gaps.
-  round = 0;
-  for (;;) {
-    const std::uint32_t seq =
-        header_seq_tx_[dst].value.fetch_add(1, std::memory_order_relaxed);
-    packet->set_size(encode(seq, packet->data(), packet->capacity()));
-    const common::Status status =
-        protocol_ == amt::ParcelportConfig::Protocol::kPutSendRecv
-            ? device_.put_dyn_packet(dst, tag, *packet, comp, ctx)
-            : device_.sendm_packet(dst, tag, *packet, comp, ctx);
-    if (status == common::Status::kOk) return true;
-    send_backoff(round);
-  }
+  return true;
 }
 
 void LciParcelport::send(amt::Rank dst, amt::OutMessage msg,
@@ -359,12 +352,13 @@ void LciParcelport::send(amt::Rank dst, amt::OutMessage msg,
   // Small-parcel fast path (put-with-completion): the whole message travels
   // as a frame of one on the reserved tag and is dispatched by the
   // destination's handler completion — no connection, no follow-up tags, no
-  // completion-queue round trip. Local completion of *_packet is
-  // synchronous on kOk, so `done` can fire inline with Comp::none(). The
-  // packet-pool wait is bounded: sustained exhaustion (every in-flight
-  // frame holding a packet) must NOT spin forever — the connection path
-  // below has its own buffers and its completion chain frees packets. The
-  // hand-off keeps `done` intact, so admission credits are conserved.
+  // completion-queue round trip. The encoded frame owns a copy of the
+  // parcel, so `done` can fire inline with Comp::none() even when the packet
+  // parks in the backlog. The packet-pool wait is bounded: sustained
+  // exhaustion (every in-flight frame holding a packet) must NOT spin
+  // forever — the connection path below has its own buffers and its
+  // completion chain frees packets. The hand-off keeps `done` intact, so
+  // admission credits are conserved.
   if (fastpath_cap_ > 0) {
     constexpr unsigned kFastpathAllocRounds = 8;
     if (frame_bytes <= fastpath_cap_ &&
@@ -440,21 +434,6 @@ void LciParcelport::send(amt::Rank dst, amt::OutMessage msg,
   connection->drop_ref(*this);
 }
 
-common::Status LciParcelport::SenderConnection::post_piece(
-    LciParcelport& port, std::size_t index) {
-  const auto [data, size] = pieces[index];
-  const std::uint32_t tag = tag_base + static_cast<std::uint32_t>(index);
-  const minilci::Comp comp = port.make_comp();
-  const auto ctx =
-      reinterpret_cast<std::uint64_t>(static_cast<Connection*>(this));
-  const common::Status status =
-      size <= port.device_.max_medium_size()
-          ? port.device_.sendm(dst, tag, data, size, comp, ctx)
-          : port.device_.sendl(dst, tag, data, size, comp, ctx);
-  if (status == common::Status::kOk) port.gauge_pieces_in_flight_.add();
-  return status;
-}
-
 bool LciParcelport::SenderConnection::post_one(LciParcelport& port) {
   std::size_t index = next_piece.load(std::memory_order_relaxed);
   for (;;) {
@@ -464,9 +443,16 @@ bool LciParcelport::SenderConnection::post_one(LciParcelport& port) {
       break;
     }
   }
-  if (post_piece(port, index) == common::Status::kRetry) {
-    std::lock_guard<common::SpinMutex> guard(port.retry_mutex_);
-    port.retry_.push_back(RetryEntry{this, index, 0});
+  const auto [data, size] = pieces[index];
+  const std::uint32_t tag = tag_base + static_cast<std::uint32_t>(index);
+  const minilci::Comp comp = port.make_comp();
+  const auto ctx =
+      reinterpret_cast<std::uint64_t>(static_cast<Connection*>(this));
+  port.gauge_pieces_in_flight_.add();
+  if (size <= port.device_.max_medium_size()) {
+    port.device_.sendm(dst, tag, data, size, comp, ctx);
+  } else {
+    port.device_.sendl(dst, tag, data, size, comp, ctx);
   }
   return true;
 }
@@ -501,33 +487,6 @@ void LciParcelport::SenderConnection::reset() {
   tag_base = 0;
   next_piece.store(0, std::memory_order_relaxed);
   remaining.store(0, std::memory_order_relaxed);
-}
-
-bool LciParcelport::retry_senders() {
-  bool did_work = false;
-  for (int i = 0; i < 8; ++i) {
-    RetryEntry entry;
-    {
-      std::lock_guard<common::SpinMutex> guard(retry_mutex_);
-      if (retry_.empty()) break;
-      entry = retry_.front();
-      retry_.pop_front();
-    }
-    // The claimed piece's completion has not fired, so the connection is
-    // guaranteed alive here.
-    if (entry.connection->post_piece(*this, entry.piece) ==
-        common::Status::kRetry) {
-      // Count every retry round under pplci/*/send_retries, same as the
-      // send()-path backoff, and escalate only this piece's own round.
-      ++entry.round;
-      ctr_send_retries_.add();
-      std::lock_guard<common::SpinMutex> guard(retry_mutex_);
-      retry_.push_front(entry);
-      break;
-    }
-    did_work = true;
-  }
-  return did_work;
 }
 
 void LciParcelport::post_recv_piece(ReceiverConnection* connection,
@@ -732,9 +691,9 @@ void LciParcelport::flush_batch(amt::Rank dst,
       agg_mean_prev_.exchange(mean, std::memory_order_relaxed);
   gauge_agg_mean_batch_x100_.add(mean - prev);
 
-  // Local completion of *_packet is synchronous on kOk: every buffered
-  // parcel's done callback can fire now (send_queue_depth was added once
-  // per parcel at send() entry).
+  // The frame owns a copy of every buffered parcel: their done callbacks
+  // can fire now (send_queue_depth was added once per parcel at send()
+  // entry).
   for (amt::Aggregator::Entry& entry : batch) {
     gauge_send_queue_depth_.sub();
     if (telemetry::sampled()) {
@@ -861,7 +820,6 @@ bool LciParcelport::background_work(unsigned worker_index) {
   } else {
     did_work |= poll_synchronizers(worker_index);
   }
-  did_work |= retry_senders();
   if (aggregator_ && !aggregator_->empty()) {
     // Age trigger first; then, when this worker found nothing else to do,
     // the idle trigger drains partial batches so a dying flood never waits

@@ -61,6 +61,15 @@
 //     the batch. Frames flush on a size cap, an age deadline (aggt<USEC>
 //     token), idle background work, or stop(). When the destination is
 //     idle, parcels keep taking the fast path unbuffered.
+//
+// Resource pressure (LCI's explicit-retry contract): no post this
+// parcelport makes is ever refused. One the NIC cannot take now parks in
+// minilci's per-destination backlog (Device, LCIS_post_sends_bq style), and
+// progress or the next post injects it later, so neither a refused header
+// nor a refused piece parks the calling worker. The one wait left is for a free packet
+// from the pool, which also bounds the backlog; pplci/*/send_retries counts
+// those packet-wait rounds. Each header or frame is stamped with its seq
+// once, at encode time.
 #pragma once
 
 #include <array>
@@ -68,6 +77,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <unordered_set>
 #include <vector>
@@ -139,10 +149,8 @@ class LciParcelport final : public amt::Parcelport {
     // connection. Whoever drops the count to zero finishes and recycles.
     std::atomic<std::size_t> remaining{0};
 
-    /// Posts piece `index`; kRetry leaves it claimable by retry_senders().
-    common::Status post_piece(LciParcelport& port, std::size_t index);
-    /// Claims and posts the next unposted piece (kRetry pieces go to the
-    /// retry queue). Returns false when every piece is already claimed.
+    /// Claims and posts the next unposted piece. Returns false when every
+    /// piece is already claimed.
     bool post_one(LciParcelport& port);
     void on_completion(LciParcelport& port,
                        minilci::CqEntry&& entry) override;
@@ -204,16 +212,15 @@ class LciParcelport final : public amt::Parcelport {
                    std::vector<amt::Aggregator::Entry>&& batch,
                    amt::Aggregator::FlushReason reason);
   /// Writes the message into a packet of `capacity` bytes at `out`, stamped
-  /// with per-destination `seq`; returns the bytes written. May be called
-  /// again (with a new seq) when an injection attempt is retried.
+  /// with per-destination `seq`; returns the bytes written.
   using EncodeFn = common::FunctionRef<std::size_t(
       std::uint32_t seq, std::byte* out, std::size_t capacity)>;
   static constexpr unsigned kUnboundedAllocRounds = ~0u;
   /// Allocates a pool packet (giving up after `alloc_rounds` backoff
   /// rounds), then stamps the next per-destination seq, lets `encode` fill
   /// the packet, and injects it on `tag` (dynamic put under psr, medium
-  /// send under sr), restamping on each explicit retry. Returns false only
-  /// when the allocation gave up, in which case nothing was sent.
+  /// send under sr). Returns false only when the allocation gave up, in
+  /// which case nothing was sent.
   bool inject_packet(amt::Rank dst, minilci::Tag tag, EncodeFn encode,
                      unsigned alloc_rounds, const minilci::Comp& comp,
                      std::uint64_t ctx);
@@ -221,7 +228,6 @@ class LciParcelport final : public amt::Parcelport {
   bool poll_completions();
   bool poll_remote_puts();
   bool poll_synchronizers(unsigned worker_index);
-  bool retry_senders();
   /// Ticket-bounded Device::progress(): at most `progress_threads_` callers
   /// poll the NIC concurrently; losers skip cheaply (counted under
   /// pplci/*/progress_skips). Returns the packets processed, or 0 on a
@@ -230,9 +236,10 @@ class LciParcelport final : public amt::Parcelport {
   /// Posts one follow-up receive (medium or long, by size) for `piece`.
   void post_recv_piece(ReceiverConnection* connection, std::size_t piece,
                        std::size_t size, std::vector<std::byte>& buf);
-  /// Bounded exponential backoff between injection retries (polling the
-  /// device first in mt mode); counts every round in pplci/*/send_retries.
-  void send_backoff(unsigned& round);
+  /// Allocates a pool packet, backing off between attempts (polling the
+  /// device first in mt mode) for at most `max_rounds` rounds; counts every
+  /// round in pplci/*/send_retries. nullopt when it gave up.
+  std::optional<minilci::PacketBuffer> wait_for_packet(unsigned max_rounds);
   void progress_thread_loop();
 
   const amt::ParcelportContext context_;
@@ -273,17 +280,6 @@ class LciParcelport final : public amt::Parcelport {
   // sr mode: one always-posted header receive per peer (reposted by the
   // completion handler; no state needed beyond the sentinel context).
 
-  // Claimed sender pieces that hit resource back-pressure. Each entry keeps
-  // its own backoff round so retry pressure is tracked per piece — a fresh
-  // piece must not inherit another piece's escalated round.
-  struct RetryEntry {
-    SenderConnection* connection = nullptr;
-    std::size_t piece = 0;
-    unsigned round = 0;
-  };
-  common::SpinMutex retry_mutex_;
-  std::deque<RetryEntry> retry_;
-
   queues::MpmcQueue<SenderConnection*> sender_pool_{1024};
   queues::MpmcQueue<ReceiverConnection*> receiver_pool_{1024};
   // Owner of every live connection, pooled or in flight: a connection whose
@@ -323,7 +319,7 @@ class LciParcelport final : public amt::Parcelport {
   // inside send()) to done-callback firing, for telemetry::sampled() parcels.
   telemetry::Counter& ctr_delivered_;
   telemetry::Counter& ctr_progress_skips_;  // ticket-layer progress skips
-  telemetry::Counter& ctr_send_retries_;  // backoff rounds in send()
+  telemetry::Counter& ctr_send_retries_;  // packet-wait backoff rounds
   telemetry::Counter& ctr_conn_reuses_;   // connections served by the pools
   telemetry::Counter& ctr_conn_allocs_;   // connections newly heap-allocated
   telemetry::Counter& ctr_sync_reuses_;

@@ -1156,16 +1156,17 @@ TEST(AdmissionTest, PoolExhaustedFastpathFallsBackAndConserves) {
   // empty must fall back to the connection path with exactly one fallback
   // count and NO credit skew — pre-fix, the exhausted branch could
   // double-count the parcel against the admission window, so `accepted ==
-  // executed` never converged. A deep block window keeps injection retries
-  // holding the lone packet while other senders' allocs fail.
+  // executed` never converged. A deep block window keeps frames parked in
+  // minilci's backlog, holding the lone packet, while other senders' allocs
+  // fail.
   setenv("AMTNET_LCI_PACKET_POOL", "1", 1);
   amt::RuntimeConfig config = lci_fastpath_config("lci_psr_cq_mt_fp_i", 2, 4);
   config.parcelport.admission.policy = amt::AdmissionConfig::Policy::kBlock;
   config.parcelport.admission.queue_bound = 64;
-  // A tiny TX window under a 64-deep flood: injections spend most of their
-  // time in kRetry, and the retrying sender holds the pool's only packet
-  // across the full wire latency — so concurrent senders reliably find the
-  // pool empty.
+  // A tiny TX window under a 64-deep flood: most posts find the NIC full and
+  // park in the destination's backlog, and the parked frame holds the pool's
+  // only packet until progress injects it, across the full wire latency —
+  // so concurrent senders reliably find the pool empty.
   config.fabric.tx_window = 8;
   amt::Runtime runtime(config, amtnet::default_parcelport_factory());
   runtime.start();

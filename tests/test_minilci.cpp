@@ -1,5 +1,5 @@
 // Tests for minilci: completion mechanisms (queue / synchronizer / handler),
-// medium & long protocols, dynamic put (eager + rendezvous), retry semantics,
+// medium & long protocols, dynamic put (eager + rendezvous), the send backlog,
 // matching-table properties, packet pool, and progress thread-safety.
 #include <gtest/gtest.h>
 
@@ -568,25 +568,61 @@ TEST(LciDevice, GetDescriptorTravelsThroughMessages) {
   EXPECT_EQ(local, remote);
 }
 
-// ---------------- retry semantics ----------------
+// ---------------- backlog semantics ----------------
 
-TEST(LciDevice, InjectionReturnsRetryUnderTxPressure) {
-  fabric::Config fab = fabric::Profile::loopback(2);
+TEST(LciDevice, InjectionParksUnderTxPressureUntilTheReceiverDrains) {
+  fabric::Config fab = fabric::Profile::loopback(2);  // one rail: in order
   fab.tx_window = 2;
   Pair pair(fab);
+  CompQueue rcq;
+  for (minilci::Tag tag = 0; tag < 4; ++tag) {
+    ASSERT_EQ(pair.dev1.recvm(0, tag, Comp::queue(&rcq), tag),
+              common::Status::kOk);
+  }
+  std::vector<std::uint64_t> arrived;
+  const auto collect = [&] {
+    while (auto entry = rcq.poll()) arrived.push_back(entry->user_context);
+  };
   int x = 0;
-  // Fill the window, then expect explicit kRetry (LCI's contract).
+  // Fill the window; the third post is refused by the NIC, so it parks in
+  // the destination's backlog and still returns kOk.
   ASSERT_EQ(pair.dev0.sendm(1, 0, &x, sizeof(x), Comp::none()),
             common::Status::kOk);
   ASSERT_EQ(pair.dev0.sendm(1, 1, &x, sizeof(x), Comp::none()),
             common::Status::kOk);
-  EXPECT_EQ(pair.dev0.sendm(1, 2, &x, sizeof(x), Comp::none()),
-            common::Status::kRetry);
-  // After the receiver drains, retry succeeds — the user-retry loop.
+  CompQueue local;
+  ASSERT_EQ(pair.dev0.sendm(1, 2, &x, sizeof(x), Comp::queue(&local), 42),
+            common::Status::kOk);
+  // Until the receiver drains, the parked post stays off the wire and its
+  // local completion has not fired, however often the sender progresses.
+  for (int i = 0; i < 8; ++i) pair.dev0.progress();
+  EXPECT_FALSE(local.poll().has_value());
+  EXPECT_EQ(pair.fabric.nic(0).stats().packets_sent, 2u);
+  // The receiver drains, which frees the window. The next post finds the
+  // backlog and injects it before its own message: nothing overtakes the
+  // parked post, and its completion fires exactly once, at injection.
+  ASSERT_TRUE(testutil::pump_until(
+      [&] {
+        collect();
+        return arrived.size() == 2;
+      },
+      [&] { pair.dev1.progress(); }));
+  ASSERT_EQ(pair.dev0.sendm(1, 3, &x, sizeof(x), Comp::none()),
+            common::Status::kOk);
+  EXPECT_EQ(pair.fabric.nic(0).stats().packets_sent, 4u);
+  const std::optional<CqEntry> done = local.poll();
+  ASSERT_TRUE(done.has_value());
+  EXPECT_EQ(done->op, OpKind::kSendMedium);
+  EXPECT_EQ(done->tag, 2u);
+  EXPECT_EQ(done->user_context, 42u);
   ASSERT_TRUE(pair.pump_until([&] {
-    return pair.dev0.sendm(1, 2, &x, sizeof(x), Comp::none()) ==
-           common::Status::kOk;
+    collect();
+    return arrived.size() == 4;
   }));
+  EXPECT_EQ(arrived, (std::vector<std::uint64_t>{0, 1, 2, 3}));
+  pair.pump();
+  EXPECT_FALSE(local.poll().has_value());
+  EXPECT_EQ(pair.fabric.nic(0).stats().packets_sent, 4u);
 }
 
 // ---------------- multithreaded progress ----------------
@@ -594,6 +630,7 @@ TEST(LciDevice, InjectionReturnsRetryUnderTxPressure) {
 struct LciStressParam {
   int sender_threads;
   int progress_threads;
+  std::size_t tx_window;  // small = senders park in the backlog
 };
 
 class LciProgressStress
@@ -603,7 +640,7 @@ TEST_P(LciProgressStress, ConcurrentSendersAndProgressDeliverAll) {
   const auto param = GetParam();
   fabric::Config fab = fabric::Profile::loopback(2);
   fab.srq_depth = 1024;
-  fab.tx_window = 4096;
+  fab.tx_window = param.tx_window;
   Pair pair(fab);
 
   constexpr std::uint32_t kPerThread = 400;
@@ -660,13 +697,20 @@ TEST_P(LciProgressStress, ConcurrentSendersAndProgressDeliverAll) {
   for (std::uint32_t tag = 0; tag < total; ++tag) {
     EXPECT_EQ(seen[tag].load(), 1) << "tag " << tag;
   }
+  const auto snap = pair.fabric.telemetry().snapshot();
+  EXPECT_EQ(snap.gauge("minilci/dev0/backlog_depth"), 0);
+  if (param.tx_window < total) {
+    EXPECT_GT(snap.counter("minilci/dev0/backlogged"), 0u)
+        << "a starved TX window never parked a post";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, LciProgressStress,
-                         ::testing::Values(LciStressParam{1, 1},
-                                           LciStressParam{2, 1},
-                                           LciStressParam{2, 2},
-                                           LciStressParam{4, 2}));
+                         ::testing::Values(LciStressParam{1, 1, 4096},
+                                           LciStressParam{2, 1, 4096},
+                                           LciStressParam{2, 2, 4096},
+                                           LciStressParam{4, 2, 4096},
+                                           LciStressParam{4, 3, 8}));
 
 // ---------------- sharded rendezvous id table ----------------
 
