@@ -138,27 +138,6 @@ const std::vector<Knob>& knob_registry() {
        "P(duplicate delivery) per datagram", "bench_chaos_sweep"},
       {Kind::kEnv, "AMTNET_FAULT_CORRUPT", "0",
        "P(single bit-flip) per payload", "bench_chaos_sweep"},
-      {Kind::kEnv, "AMTNET_FAULT_CORRUPT_MIN", "0",
-       "only corrupt payloads >= this size (bytes)",
-       "test_chaos (via FaultConfig)"},
-      {Kind::kEnv, "AMTNET_FAULT_DELAY", "0",
-       "P(latency spike) per packet",
-       "test_chaos (via FaultConfig)"},
-      {Kind::kEnv, "AMTNET_FAULT_DELAY_US", "50",
-       "latency-spike magnitude (microseconds)",
-       "test_chaos (via FaultConfig)"},
-      {Kind::kEnv, "AMTNET_FAULT_BROWNOUT", "0",
-       "P(entering a brownout) per post",
-       "test_chaos (via FaultConfig)"},
-      {Kind::kEnv, "AMTNET_FAULT_BROWNOUT_POSTS", "64",
-       "posts rejected (kRetry) per brownout",
-       "test_chaos (via FaultConfig)"},
-      {Kind::kEnv, "AMTNET_FAULT_RNR", "0",
-       "P(entering an RNR storm) per poll",
-       "test_chaos (via FaultConfig)"},
-      {Kind::kEnv, "AMTNET_FAULT_RNR_POLLS", "32",
-       "polls stalled per RNR storm",
-       "test_chaos (via FaultConfig)"},
       {Kind::kEnv, "AMTNET_FAULT_SEED", "fixed constant",
        "seed of the deterministic fault streams (any u64)",
        "bench_chaos_sweep"},

@@ -1,7 +1,10 @@
 // Non-blocking operation result codes shared by the fabric and the
-// communication libraries. Mirrors LCI's convention: every injection
-// primitive may return kRetry when a transient resource (packet pool, SRQ
-// credit, queue slot) is unavailable, and the caller decides when to retry.
+// communication libraries. kRetry comes only from the fabric layer (a NIC
+// post, or ReliableEndpoint::send forwarding one) when a transient resource
+// (TX window, shm ring slot) is full; the caller decides when to retry. The
+// layers above absorb it: minilci parks a refused post in its per-destination
+// backlog and minimpi re-posts from progress, so none of their primitives
+// returns kRetry.
 #pragma once
 
 namespace common {

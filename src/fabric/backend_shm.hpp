@@ -13,12 +13,14 @@
 //   * direct   — peer is this process (single-process mode): plain memcpy;
 //   * CMA      — cross-memory attach (process_vm_readv/writev): true
 //                zero-copy between private address spaces;
-//   * fallback — no CMA (blocked or unsupported): writes/reads are
-//                segmented into ring records and served by the TARGET's
-//                poll loop. This is the one semantic deviation from the sim
-//                backend: a fallback-mode post_read needs the target to
-//                poll before it can complete. AMTNET_SHM_FORCE_FALLBACK=1
-//                forces this path for testing.
+//   * fallback — no CMA (blocked or unsupported): writes are segmented
+//                into ring records that the TARGET's poll loop lands in its
+//                registered region. AMTNET_SHM_FORCE_FALLBACK=1 forces this
+//                path for testing.
+//
+// Every ring record is peer input: poll_rx rejects a record whose payload
+// length exceeds the slot, and a write fragment outside its MR, through
+// common::integrity_fail.
 //
 // Fault injection on shm is limited to the software-visible subset — drop,
 // duplicate, corrupt, applied to eager datagrams at post time with the same
@@ -148,14 +150,9 @@ class ShmNic final : public Nic {
 
   common::Status post_send(Rank dst, const void* data, std::size_t len,
                            std::uint64_t imm) override;
-  common::Status post_write(Rank dst, const MrKey& rkey, std::size_t offset,
-                            const void* data, std::size_t len) override;
   common::Status post_write_imm(Rank dst, const MrKey& rkey,
                                 std::size_t offset, const void* data,
                                 std::size_t len, std::uint64_t imm) override;
-  common::Status post_read(Rank dst, const MrKey& rkey, std::size_t offset,
-                           void* local, std::size_t len,
-                           std::uint64_t imm) override;
 
   MrKey register_memory(void* base, std::size_t len) override;
   void deregister_memory(const MrKey& key) override;
@@ -171,8 +168,8 @@ class ShmNic final : public Nic {
 
  private:
   /// One outgoing ring record, staged in private memory when its ring is
-  /// momentarily full (mid-write fragments and read-service responses must
-  /// not be dropped once their operation is committed).
+  /// momentarily full (mid-write fragments and write notices must not be
+  /// dropped once their operation is committed).
   struct OutRecord {
     detail::ShmRecord header;
     std::vector<std::byte> payload;
@@ -185,18 +182,6 @@ class ShmNic final : public Nic {
     std::deque<OutRecord> pending;
   };
 
-  struct PendingRead {
-    PendingRead() = default;
-    PendingRead(std::byte* d, std::uint64_t i, std::size_t t)
-        : dst(d), imm(i), total(t) {}
-    std::byte* dst = nullptr;
-    std::uint64_t imm = 0;
-    std::size_t total = 0;   // bytes requested
-    std::size_t received = 0;
-    std::size_t served = 0;  // bytes the target actually streamed
-    bool got_last = false;
-  };
-
   /// Target-side state of one in-flight fallback write (keyed by sender rank
   /// + the sender-allocated write id). poll_rx may run on several threads, so
   /// fragments of one write can be consumed concurrently; tracking received
@@ -207,7 +192,6 @@ class ShmNic final : public Nic {
     std::size_t total = 0;
     std::size_t received = 0;
     bool got_last = false;
-    bool has_imm = false;
   };
 
   /// Pushes under the peer lock; false when the ring is full AND `stash` is
@@ -217,11 +201,7 @@ class ShmNic final : public Nic {
   bool push_now_locked(detail::ShmRing& ring, const OutRecord& rec);
   void flush_pending(Rank dst);
 
-  common::Status write_common(Rank dst, const MrKey& rkey, std::size_t offset,
-                              const void* data, std::size_t len, bool has_imm,
-                              std::uint64_t imm);
   void deliver_self(RxEvent&& event);
-  void serve_read_request(Rank requester, const detail::ShmRecord& rec);
   void handle_record(Rank src, const detail::ShmRecord& rec,
                      const std::byte* payload, RxSink& sink);
 
@@ -245,15 +225,12 @@ class ShmNic final : public Nic {
 
   std::vector<std::unique_ptr<PeerTx>> peers_;
 
-  // Completions that never touch a ring: self-sends, and kReadDone for
-  // direct/CMA reads (surfaced at this NIC's next poll, like the sim).
+  // Completions that never touch a ring: self-sends and self-writes
+  // (surfaced at this NIC's next poll, like the sim).
   queues::TryMpmcQueue<RxEvent> self_events_;
 
-  common::SpinMutex reads_mutex_;
-  std::unordered_map<std::uint64_t, PendingRead> pending_reads_;
   common::SpinMutex writes_mutex_;
   std::unordered_map<std::uint64_t, PendingWrite> pending_writes_;
-  std::atomic<std::uint64_t> next_read_id_{1};
   std::atomic<std::uint64_t> next_write_id_{1};
   std::atomic<std::uint64_t> next_mr_id_{1};
   std::atomic<std::uint64_t> poll_rr_{0};

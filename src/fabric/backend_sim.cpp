@@ -105,7 +105,6 @@ common::Status SimNic::post_packet(Rank dst, detail::Packet packet,
     ctr_tx_window_rejects_.add();
     return common::Status::kRetry;
   }
-  packet.tx_owner = rank_;
 
   // Deterministic fault injection (fabric/fault.hpp). Each post gets an
   // index that keys its splitmix64 decision stream and positions it against
@@ -169,10 +168,7 @@ common::Status SimNic::post_packet(Rank dst, detail::Packet packet,
     }
   }
 
-  // Read responses are delivered back to THIS NIC (they only traverse the
-  // remote NIC in hardware); everything else goes to the destination.
-  SimNic& target =
-      packet.kind == detail::Packet::Kind::kReadResp ? *this : peer(dst);
+  SimNic& target = peer(dst);
   const unsigned rails = std::max(1u, config_.num_rails);
   const unsigned rail = static_cast<unsigned>(
       tx_rail_rr_.value.fetch_add(1, std::memory_order_relaxed) % rails);
@@ -276,36 +272,6 @@ common::Status SimNic::post_send(Rank dst, const void* data, std::size_t len,
   return post_packet(dst, std::move(packet), len + 32);
 }
 
-common::Status SimNic::post_read(Rank dst, const MrKey& rkey,
-                                 std::size_t offset, void* local,
-                                 std::size_t len, std::uint64_t imm) {
-  detail::Packet packet;
-  packet.kind = detail::Packet::Kind::kReadResp;
-  packet.src = dst;  // the event appears to come from the remote peer
-  packet.imm = imm;
-  packet.mr_id = rkey.id;
-  packet.mr_offset = offset;
-  packet.read_dst = static_cast<std::byte*>(local);
-  packet.read_len = len;
-  packet.extra_latency = latency_ns_;  // the request's one-way trip
-  // Round trip: request one way, payload back the other.
-  return post_packet(dst, std::move(packet),
-                     len + 64 /*request + response framing*/);
-}
-
-common::Status SimNic::post_write(Rank dst, const MrKey& rkey,
-                                  std::size_t offset, const void* data,
-                                  std::size_t len) {
-  detail::Packet packet;
-  packet.kind = detail::Packet::Kind::kWrite;
-  packet.src = rank_;
-  packet.mr_id = rkey.id;
-  packet.mr_offset = offset;
-  packet.payload.assign(static_cast<const std::byte*>(data),
-                        static_cast<const std::byte*>(data) + len);
-  return post_packet(dst, std::move(packet), len + 32);
-}
-
 common::Status SimNic::post_write_imm(Rank dst, const MrKey& rkey,
                                       std::size_t offset, const void* data,
                                       std::size_t len, std::uint64_t imm) {
@@ -315,7 +281,6 @@ common::Status SimNic::post_write_imm(Rank dst, const MrKey& rkey,
   packet.mr_id = rkey.id;
   packet.mr_offset = offset;
   packet.imm = imm;
-  packet.has_imm = true;
   packet.payload.assign(static_cast<const std::byte*>(data),
                         static_cast<const std::byte*>(data) + len);
   return post_packet(dst, std::move(packet), len + 32);
@@ -393,21 +358,8 @@ std::size_t SimNic::poll_rx_sink(std::size_t max_packets, RxSink sink) {
 
     auto consume = [&](detail::Packet&& p) {
       ctr_packets_received_.add();
-      on_packet_delivered(p.tx_owner);
-      if (p.kind == detail::Packet::Kind::kReadResp) {
-        // Serve the read: snapshot the remote registered region now and
-        // land it in the reader's buffer, then surface completion.
-        const auto entry = peer(p.src).lookup_mr(p.mr_id);
-        if (entry && p.mr_offset + p.read_len <= entry->len) {
-          std::memcpy(p.read_dst, entry->base + p.mr_offset, p.read_len);
-        }
-        RxEvent event;
-        event.kind = RxEvent::Kind::kReadDone;
-        event.src = p.src;
-        event.imm = p.imm;
-        event.size = p.read_len;
-        sink(std::move(event));
-      } else if (p.kind == detail::Packet::Kind::kSend) {
+      on_packet_delivered(p.src);
+      if (p.kind == detail::Packet::Kind::kSend) {
         RxEvent event;
         event.kind = RxEvent::Kind::kRecv;
         event.src = p.src;
@@ -420,20 +372,18 @@ std::size_t SimNic::poll_rx_sink(std::size_t max_packets, RxSink sink) {
         }
         sink(std::move(event));
       } else {
-        // RDMA write: land the data, then surface the immediate if any.
+        // RDMA write: land the data, then surface the immediate.
         const auto entry = lookup_mr(p.mr_id);
         if (entry && p.mr_offset + p.payload.size() <= entry->len) {
           std::memcpy(entry->base + p.mr_offset, p.payload.data(),
                       p.payload.size());
         }
-        if (p.has_imm) {
-          RxEvent event;
-          event.kind = RxEvent::Kind::kWriteImm;
-          event.src = p.src;
-          event.imm = p.imm;
-          event.size = p.payload.size();
-          sink(std::move(event));
-        }
+        RxEvent event;
+        event.kind = RxEvent::Kind::kWriteImm;
+        event.src = p.src;
+        event.imm = p.imm;
+        event.size = p.payload.size();
+        sink(std::move(event));
       }
     };
 

@@ -3,7 +3,7 @@
 // message-rate cap, TX window, SRQ/RNR, multi-rail reordering, deterministic
 // fault injection).
 //
-// Threading: post_send / post_write may be called from any thread; poll_rx
+// Threading: post_send / post_write_imm may be called from any thread; poll_rx
 // may be called from any number of threads concurrently (each incoming
 // channel is drained under a consumer try-lock, so concurrent pollers skip
 // channels another poller holds — the same discipline real LCI uses for its
@@ -29,17 +29,13 @@ namespace fabric {
 namespace detail {
 
 struct Packet {
-  enum class Kind : std::uint8_t { kSend, kWrite, kReadResp };
+  enum class Kind : std::uint8_t { kSend, kWrite };
   Kind kind = Kind::kSend;
-  Rank src = 0;        // rank shown to the receiver (the remote peer)
-  Rank tx_owner = 0;   // rank whose TX window this packet occupies
+  Rank src = 0;  // the sender, whose TX window this packet occupies
   std::uint64_t imm = 0;
-  bool has_imm = false;
-  std::uint64_t mr_id = 0;       // kWrite / kReadResp
-  std::size_t mr_offset = 0;     // kWrite / kReadResp
-  std::byte* read_dst = nullptr;   // kReadResp: reader-local destination
-  std::size_t read_len = 0;        // kReadResp
-  common::Nanos extra_latency = 0;  // reads: the request's one-way trip
+  std::uint64_t mr_id = 0;          // kWrite
+  std::size_t mr_offset = 0;        // kWrite
+  common::Nanos extra_latency = 0;  // injected delay fault
   std::vector<std::byte> payload;
   common::Nanos deliver_time = 0;
 };
@@ -61,14 +57,9 @@ class SimNic final : public Nic {
 
   common::Status post_send(Rank dst, const void* data, std::size_t len,
                            std::uint64_t imm) override;
-  common::Status post_write(Rank dst, const MrKey& rkey, std::size_t offset,
-                            const void* data, std::size_t len) override;
   common::Status post_write_imm(Rank dst, const MrKey& rkey,
                                 std::size_t offset, const void* data,
                                 std::size_t len, std::uint64_t imm) override;
-  common::Status post_read(Rank dst, const MrKey& rkey, std::size_t offset,
-                           void* local, std::size_t len,
-                           std::uint64_t imm) override;
 
   MrKey register_memory(void* base, std::size_t len) override;
   void deregister_memory(const MrKey& key) override;

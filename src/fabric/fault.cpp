@@ -17,12 +17,6 @@ void env_u64(const char* name, std::uint64_t& out) {
   }
 }
 
-void env_size(const char* name, std::size_t& out) {
-  std::uint64_t v = out;
-  env_u64(name, v);
-  out = static_cast<std::size_t>(v);
-}
-
 }  // namespace
 
 std::string FaultConfig::describe() const {
@@ -39,13 +33,6 @@ void apply_fault_env(FaultConfig& config) {
   env_double("AMTNET_FAULT_DROP", config.drop);
   env_double("AMTNET_FAULT_DUP", config.duplicate);
   env_double("AMTNET_FAULT_CORRUPT", config.corrupt);
-  env_size("AMTNET_FAULT_CORRUPT_MIN", config.corrupt_min_size);
-  env_double("AMTNET_FAULT_DELAY", config.delay);
-  env_double("AMTNET_FAULT_DELAY_US", config.delay_us);
-  env_double("AMTNET_FAULT_BROWNOUT", config.brownout);
-  env_u64("AMTNET_FAULT_BROWNOUT_POSTS", config.brownout_posts);
-  env_double("AMTNET_FAULT_RNR", config.rnr_storm);
-  env_u64("AMTNET_FAULT_RNR_POLLS", config.rnr_storm_polls);
   env_u64("AMTNET_FAULT_SEED", config.seed);
   if (const char* value = std::getenv("AMTNET_FAULT_INTEGRITY")) {
     config.integrity = std::atoi(value) != 0;

@@ -6,7 +6,7 @@
 // paths. This config seeds a reproducible chaos layer inside the NIC model:
 //
 //   drop / duplicate   two-sided datagrams (Packet::Kind::kSend) are lost or
-//                      delivered twice. One-sided RDMA writes/reads are never
+//                      delivered twice. One-sided RDMA writes are never
 //                      dropped: real RC InfiniBand retransmits them below
 //                      software, and no software-visible detection point
 //                      exists for a silently missing write, so dropping them
@@ -64,15 +64,12 @@ struct FaultConfig {
 
 /// Overrides fields from AMTNET_FAULT_* environment variables (unset
 /// variables leave the passed-in value untouched):
-///   AMTNET_FAULT_DROP, AMTNET_FAULT_DUP, AMTNET_FAULT_CORRUPT,
-///   AMTNET_FAULT_DELAY, AMTNET_FAULT_BROWNOUT, AMTNET_FAULT_RNR
+///   AMTNET_FAULT_DROP, AMTNET_FAULT_DUP, AMTNET_FAULT_CORRUPT
 ///       — probabilities in [0, 1]
-///   AMTNET_FAULT_DELAY_US          — latency-spike size (microseconds)
-///   AMTNET_FAULT_BROWNOUT_POSTS    — brownout window length (posts)
-///   AMTNET_FAULT_RNR_POLLS         — RNR storm length (poll_rx calls)
-///   AMTNET_FAULT_CORRUPT_MIN       — min payload size eligible for bit flips
 ///   AMTNET_FAULT_SEED              — the deterministic seed
 ///   AMTNET_FAULT_INTEGRITY         — 1: force integrity machinery on
+/// The delay, brownout, RNR-storm and corrupt_min_size fields have no
+/// environment twin; tests set them on the FaultConfig directly.
 void apply_fault_env(FaultConfig& config);
 
 }  // namespace fabric

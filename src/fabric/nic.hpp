@@ -10,9 +10,14 @@
 //              per-pair shm ring buffers + an MR window table, one process
 //              per rank (or all ranks in-process for conformance tests).
 //
-// Threading contract (all backends): post_send / post_write / post_read may
-// be called from any thread; poll_rx may be called from any number of
-// threads concurrently.
+// The surface is what the parcelports post and nothing more: two-sided
+// datagrams (post_send) and RDMA write-with-immediate (post_write_imm) into
+// registered memory. There is no RDMA read and no write without an
+// immediate.
+//
+// Threading contract (all backends): post_send / post_write_imm may be
+// called from any thread; poll_rx may be called from any number of threads
+// concurrently.
 #pragma once
 
 #include <cstddef>
@@ -33,7 +38,6 @@ struct RxEvent {
   enum class Kind : std::uint8_t {
     kRecv,      // a post_send arrived; payload in `payload` (if size > 0)
     kWriteImm,  // an RDMA write-with-immediate landed; data already in place
-    kReadDone,  // an RDMA read this NIC posted has completed locally
   };
   Kind kind = Kind::kRecv;
   Rank src = 0;
@@ -71,28 +75,13 @@ class Nic {
   virtual common::Status post_send(Rank dst, const void* data, std::size_t len,
                                    std::uint64_t imm) = 0;
 
-  /// One-sided RDMA write into (rkey, offset) at the target, invisible to the
-  /// target's event stream (completion must be signalled by a follow-up
-  /// message or by using post_write_imm). The data lands in the target's
-  /// registered region no later than the target's next poll_rx call.
-  virtual common::Status post_write(Rank dst, const MrKey& rkey,
-                                    std::size_t offset, const void* data,
-                                    std::size_t len) = 0;
-
-  /// RDMA write with immediate: like post_write but additionally produces a
-  /// kWriteImm event at the target once the data has landed.
+  /// RDMA write with immediate: one-sided write of `len` bytes into
+  /// (rkey, offset) at the target, which sees a kWriteImm event carrying
+  /// `imm` once the data has landed.
   virtual common::Status post_write_imm(Rank dst, const MrKey& rkey,
                                         std::size_t offset, const void* data,
                                         std::size_t len,
                                         std::uint64_t imm) = 0;
-
-  /// One-sided RDMA read: fetches `len` bytes from (rkey, offset) at `dst`
-  /// into `local`. Completion surfaces at THIS NIC's poll loop as a
-  /// kReadDone event carrying `imm`. The remote memory is snapshotted at
-  /// completion time.
-  virtual common::Status post_read(Rank dst, const MrKey& rkey,
-                                   std::size_t offset, void* local,
-                                   std::size_t len, std::uint64_t imm) = 0;
 
   /// Registers [base, base+len) for one-sided access by peers. Cheap; never
   /// fails on the simulator, may abort on the shm backend when its window
@@ -101,8 +90,8 @@ class Nic {
   virtual void deregister_memory(const MrKey& key) = 0;
 
   /// Drains deliverable packets, invoking `sink(RxEvent&&)` for each visible
-  /// event. Returns the number of packets processed (including writes
-  /// without immediates, which produce no event).
+  /// event. Returns the number of packets processed (including fallback write
+  /// fragments short of their last, which produce no event).
   template <typename Sink>
   std::size_t poll_rx(std::size_t max_packets, Sink&& sink) {
     return poll_rx_sink(max_packets, RxSink(sink));

@@ -70,7 +70,7 @@ class ReliableEndpoint {
   /// Filters one incoming event. Returns true when the event is for the
   /// upper layer (trailer already stripped); false when it was consumed
   /// here (an ack, a duplicate, or a corrupt datagram that was dropped).
-  /// Non-kRecv events (write-imm, read-done) always pass through.
+  /// Non-kRecv events (write-imm) always pass through.
   bool on_recv(RxEvent& event);
 
   /// Drives acks and retransmits; call from the owning layer's progress.

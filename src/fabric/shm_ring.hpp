@@ -2,8 +2,8 @@
 // queue laid out flat in a shared-memory segment (offsets only, no pointers;
 // per-slot sequence numbers carry the full/empty state). One ring per
 // directed locality pair carries fixed-size records — an eager datagram, a
-// write/read fragment, or a control notice — each with an inline payload
-// area sized for Config::srq_buffer_size.
+// write fragment, or a write notice — each with an inline payload area sized
+// for Config::srq_buffer_size.
 //
 // Producers and consumers may live in different processes and on any number
 // of threads on each side: claim/publish (producer) and claim/release
@@ -25,25 +25,21 @@ namespace fabric::detail {
 struct ShmRecord {
   enum Kind : std::uint8_t {
     kEager = 1,      // post_send datagram: payload + imm
-    kWriteNotice,    // CMA/direct write already landed; total_len (+imm)
+    kWriteNotice,    // CMA/direct write already landed; total_len + imm
     kWriteFrag,      // fallback write fragment into (mr_id, offset) of op_id
-    kReadReq,        // fallback read request: mr_id/offset/total_len/op_id
-    kReadFrag,       // fallback read response fragment at `offset` of op_id
   };
   enum Flags : std::uint8_t {
-    kFlagLast = 1,  // final fragment of its write/read
-    kFlagImm = 2,   // surface an event with `imm` when the last frag lands
+    kFlagLast = 1,  // final fragment of its write: carries imm + total_len
   };
 
   std::uint8_t kind = 0;
   std::uint8_t flags = 0;
   std::uint32_t len = 0;        // payload bytes stored in this slot
   std::uint64_t imm = 0;
-  std::uint64_t mr_id = 0;      // kWriteFrag / kReadReq
-  std::uint64_t offset = 0;     // kWriteFrag: MR offset; kReadFrag: dst offset
-  std::uint64_t total_len = 0;  // whole-operation size (kReadReq: read size)
-  std::uint64_t op_id = 0;      // kReadReq / kReadFrag: read id; kWriteFrag:
-                                // write id (unique per sender NIC)
+  std::uint64_t mr_id = 0;      // kWriteFrag
+  std::uint64_t offset = 0;     // kWriteFrag: MR offset
+  std::uint64_t total_len = 0;  // whole-write size
+  std::uint64_t op_id = 0;      // kWriteFrag: write id (unique per sender NIC)
 };
 
 struct ShmSlot {

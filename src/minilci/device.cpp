@@ -17,14 +17,10 @@ namespace {
 // Wire immediate layout: [63:56] kind | [31:0] tag or rendezvous id.
 enum class MsgKind : std::uint8_t {
   kMedium = 1,    // payload = user data
-  kPutEager = 2,  // payload = user data -> remote CQ
+  kPut = 2,       // payload = user data -> remote CQ
   kRts = 3,       // payload = RdvHello
   kCts = 4,       // payload = CtsPayload
   kFin = 5,       // RDMA write-with-immediate; arg = receiver rdv id
-  kPutRts = 6,    // payload = RdvHello
-  kPutCts = 7,    // payload = PutCtsPayload
-  kPutFin = 8,    // RDMA write-with-immediate; arg = receiver rdv id
-  kGetDone = 9,   // RDMA read completion; arg = local get id
 };
 
 struct RdvHello {
@@ -43,12 +39,6 @@ struct CtsPayload {
   std::uint32_t recv_id;
 };
 
-struct PutCtsPayload {
-  std::uint64_t mr_id;
-  std::uint32_t sender_id;
-  std::uint32_t recv_id;
-};
-
 std::uint64_t make_imm(MsgKind kind, std::uint32_t arg) {
   return (static_cast<std::uint64_t>(kind) << 56) | arg;
 }
@@ -57,11 +47,15 @@ std::uint32_t imm_arg(std::uint64_t imm) {
   return static_cast<std::uint32_t>(imm);
 }
 
+// Decodes a fixed-size control payload from a peer. A short one is a
+// protocol violation in every build type, not just under assert.
 template <typename T>
-T from_bytes(const std::byte* data, std::size_t len) {
+T from_bytes(Rank src, const std::byte* data, std::size_t len) {
+  if (len < sizeof(T)) {
+    common::integrity_fail("minilci: control payload from rank ", src, " is ",
+                           len, " bytes, expected ", sizeof(T));
+  }
   T value{};
-  assert(len >= sizeof(T));
-  (void)len;
   std::memcpy(&value, data, sizeof(T));
   return value;
 }
@@ -84,8 +78,7 @@ CqEntry local_entry(OpKind op, Rank dst, Tag tag, std::size_t size,
 
 }  // namespace
 
-static_assert(sizeof(CtsPayload) <= 24 && sizeof(PutCtsPayload) <= 24 &&
-                  sizeof(RdvHello) <= 24,
+static_assert(sizeof(CtsPayload) <= 24 && sizeof(RdvHello) <= 24,
               "control payloads must fit the inline DeferredSend buffer");
 
 
@@ -102,9 +95,6 @@ Device::Device(fabric::Fabric& fabric, Rank rank, Config config,
                    kPacketCacheSize),
       rdv_sends_(config.rdv_shards),
       rdv_recvs_(config.rdv_shards),
-      put_sends_(config.rdv_shards),
-      put_recvs_(config.rdv_shards),
-      pending_gets_(config.rdv_shards),
       deferred_lanes_(fabric.num_ranks()),
       ctr_progress_calls_(
           fabric.telemetry().counter(dev_metric(rank, "progress_calls"))),
@@ -233,7 +223,7 @@ void Device::start_long_recv(Rank src, Tag tag, std::size_t size,
 }
 
 void Device::handle_cts(Rank src, const std::byte* payload, std::size_t len) {
-  const auto cts = from_bytes<CtsPayload>(payload, len);
+  const auto cts = from_bytes<CtsPayload>(src, payload, len);
   std::optional<RdvSend> extracted = rdv_sends_.extract(cts.sender_id);
   if (!extracted) {
     AMTNET_LOG_ERROR("minilci: CTS for unknown rendezvous id ",
@@ -283,81 +273,18 @@ void Device::handle_fin(std::uint32_t recv_id, std::size_t written) {
   signal_completion(rdv.comp, std::move(entry));
 }
 
-// ---- one-sided get -----------------------------------------------------------
-
-common::Status Device::get(const RemoteBuffer& src, std::size_t offset,
-                           void* dst, std::size_t len, const Comp& comp,
-                           std::uint64_t user_context) {
-  if (offset + len > src.len) return common::Status::kError;
-  PendingGet pending;
-  pending.comp = comp;
-  pending.user_context = user_context;
-  pending.src = src.mr.rank;
-  pending.len = len;
-  const std::uint32_t id = pending_gets_.insert(std::move(pending));
-  const common::Status status =
-      nic_.post_read(src.mr.rank, src.mr, offset, dst, len,
-                     make_imm(MsgKind::kGetDone, id));
-  if (status != common::Status::kOk) {
-    pending_gets_.extract(id);
-    return status;
-  }
-  return common::Status::kOk;
-}
-
-void Device::handle_get_done(std::uint32_t get_id) {
-  std::optional<PendingGet> extracted = pending_gets_.extract(get_id);
-  if (!extracted) {
-    AMTNET_LOG_ERROR("minilci: completion for unknown get id ", get_id);
-    return;
-  }
-  PendingGet& pending = *extracted;
-  CqEntry entry;
-  entry.op = OpKind::kGet;
-  entry.rank = pending.src;
-  entry.size = pending.len;
-  entry.user_context = pending.user_context;
-  signal_completion(pending.comp, std::move(entry));
-}
-
 // ---- one-sided dynamic put --------------------------------------------------
-
-common::Status Device::put_dyn(Rank dst, Tag tag, const void* data,
-                               std::size_t len, const Comp& local_comp,
-                               std::uint64_t user_context) {
-  if (len <= config_.eager_threshold) {
-    post_copy(dst, make_imm(MsgKind::kPutEager, tag), data, len, local_comp,
-              local_entry(OpKind::kPutDyn, dst, tag, len, user_context));
-    return common::Status::kOk;
-  }
-  // Large put: rendezvous with target-side allocation. The payload is copied
-  // so the caller's buffer is reusable on return (buffered-put semantics).
-  PutSend put;
-  put.data.assign(static_cast<const std::byte*>(data),
-                  static_cast<const std::byte*>(data) + len);
-  put.comp = local_comp;
-  put.tag = tag;
-  put.dst = dst;
-  put.user_context = user_context;
-  const std::uint32_t id = put_sends_.insert(std::move(put));
-  const std::uint32_t crc =
-      integrity_on_ ? common::crc32(data, len) : 0;
-  const RdvHello hello{len, id, crc};
-  send_ctrl(dst, make_imm(MsgKind::kPutRts, tag), &hello, sizeof(hello));
-  return common::Status::kOk;
-}
 
 common::Status Device::put_dyn_packet(Rank dst, Tag tag, PacketBuffer& packet,
                                       const Comp& local_comp,
                                       std::uint64_t user_context) {
   post_packet(
-      dst, make_imm(MsgKind::kPutEager, tag), packet, local_comp,
+      dst, make_imm(MsgKind::kPut, tag), packet, local_comp,
       local_entry(OpKind::kPutDyn, dst, tag, packet.size(), user_context));
   return common::Status::kOk;
 }
 
-void Device::handle_put_eager(Rank src, Tag tag,
-                              std::vector<std::byte>&& data) {
+void Device::handle_put(Rank src, Tag tag, std::vector<std::byte>&& data) {
   if (deliver_to_handler(src, tag, OpKind::kRemotePut, std::move(data))) {
     return;
   }
@@ -368,69 +295,6 @@ void Device::handle_put_eager(Rank src, Tag tag,
   entry.tag = tag;
   entry.size = data.size();
   entry.data = std::move(data);
-  remote_put_cq_->push(std::move(entry));
-}
-
-void Device::handle_put_rts(Rank src, Tag tag, std::size_t size,
-                            std::uint32_t sender_id, std::uint32_t crc) {
-  // The vector's heap buffer is registered before the insert; moves into
-  // (and rehashes inside) the table never move the registered bytes.
-  PutRecv put;
-  put.data.resize(size);
-  put.mr = nic_.register_memory(put.data.data(), size);
-  put.tag = tag;
-  put.src = src;
-  put.expected_crc = crc;
-  const std::uint64_t mr_id = put.mr.id;
-  const std::uint32_t recv_id = put_recvs_.insert(std::move(put));
-  const PutCtsPayload cts{mr_id, sender_id, recv_id};
-  send_ctrl(src, make_imm(MsgKind::kPutCts, 0), &cts, sizeof(cts));
-}
-
-void Device::handle_put_cts(Rank src, const std::byte* payload,
-                            std::size_t len) {
-  const auto cts = from_bytes<PutCtsPayload>(payload, len);
-  std::optional<PutSend> extracted = put_sends_.extract(cts.sender_id);
-  if (!extracted) {
-    AMTNET_LOG_ERROR("minilci: put-CTS for unknown id ", cts.sender_id);
-    return;
-  }
-  PutSend& put = *extracted;
-  const std::size_t size = put.data.size();
-  post_copy(src, make_imm(MsgKind::kPutFin, cts.recv_id), put.data.data(),
-            size, put.comp,
-            local_entry(OpKind::kPutDyn, put.dst, put.tag, size,
-                        put.user_context),
-            cts.mr_id);
-}
-
-void Device::handle_put_fin(std::uint32_t recv_id) {
-  std::optional<PutRecv> extracted = put_recvs_.extract(recv_id);
-  if (!extracted) {
-    AMTNET_LOG_ERROR("minilci: put-FIN for unknown id ", recv_id);
-    return;
-  }
-  PutRecv& put = *extracted;
-  nic_.deregister_memory(put.mr);
-  if (integrity_on_ && put.expected_crc != 0) {
-    const std::uint32_t actual =
-        common::crc32(put.data.data(), put.data.size());
-    if (actual != put.expected_crc) {
-      common::integrity_fail(
-          "minilci: RDMA put payload CRC mismatch rank=", rank_,
-          " src=", put.src, " tag=", put.tag, " recv_id=", recv_id,
-          " size=", put.data.size(), " expected_crc=", put.expected_crc,
-          " actual_crc=", actual,
-          " — corruption past the rendezvous; no retransmit path exists");
-    }
-  }
-  assert(remote_put_cq_ != nullptr);
-  CqEntry entry;
-  entry.op = OpKind::kRemotePut;
-  entry.rank = put.src;
-  entry.tag = put.tag;
-  entry.size = put.data.size();
-  entry.data = std::move(put.data);
   remote_put_cq_->push(std::move(entry));
 }
 
@@ -621,20 +485,9 @@ void Device::handle_rts(Rank src, Tag tag, std::size_t size,
 
 void Device::handle_event(fabric::RxEvent&& event) {
   const MsgKind kind = imm_kind(event.imm);
-  if (event.kind == fabric::RxEvent::Kind::kReadDone) {
-    if (kind == MsgKind::kGetDone) {
-      handle_get_done(imm_arg(event.imm));
-    } else {
-      AMTNET_LOG_ERROR("minilci: unexpected read-done kind ",
-                       static_cast<int>(kind));
-    }
-    return;
-  }
   if (event.kind == fabric::RxEvent::Kind::kWriteImm) {
     if (kind == MsgKind::kFin) {
       handle_fin(imm_arg(event.imm), event.size);
-    } else if (kind == MsgKind::kPutFin) {
-      handle_put_fin(imm_arg(event.imm));
     } else {
       AMTNET_LOG_ERROR("minilci: unexpected write-imm kind ",
                        static_cast<int>(kind));
@@ -648,27 +501,18 @@ void Device::handle_event(fabric::RxEvent&& event) {
       handle_medium_arrival(event.src, imm_arg(event.imm),
                             std::move(event.payload));
       break;
-    case MsgKind::kPutEager:
-      handle_put_eager(event.src, imm_arg(event.imm),
+    case MsgKind::kPut:
+      handle_put(event.src, imm_arg(event.imm),
                        std::move(event.payload));
       break;
     case MsgKind::kRts: {
-      const auto hello = from_bytes<RdvHello>(data, event.size);
+      const auto hello = from_bytes<RdvHello>(event.src, data, event.size);
       handle_rts(event.src, imm_arg(event.imm), hello.size, hello.sender_id,
                  hello.crc);
       break;
     }
-    case MsgKind::kPutRts: {
-      const auto hello = from_bytes<RdvHello>(data, event.size);
-      handle_put_rts(event.src, imm_arg(event.imm), hello.size,
-                     hello.sender_id, hello.crc);
-      break;
-    }
     case MsgKind::kCts:
       handle_cts(event.src, data, event.size);
-      break;
-    case MsgKind::kPutCts:
-      handle_put_cts(event.src, data, event.size);
       break;
     default:
       AMTNET_LOG_ERROR("minilci: unexpected message kind ",

@@ -10,8 +10,12 @@
 // empty; otherwise, or when the NIC or the Reliable layer refuses it, it is
 // parked and still returns kOk. progress(), and the next post to that
 // destination, drain each backlog in FIFO order; a parked post's local
-// completion fires when it reaches the NIC. Only get() keeps LCI's explicit
-// kRetry.
+// completion fires when it reaches the NIC. No primitive returns kRetry.
+//
+// The primitives are the ones the LCI parcelport posts (paper §3.2): medium
+// send/recv, long send/recv whose payload moves by one RDMA write with
+// immediate, and the eager dynamic put of a pool packet. Control payloads
+// (RTS, CTS) from peers are length-checked in every build type.
 #pragma once
 
 #include <array>
@@ -88,34 +92,12 @@ class Device {
   common::Status recvl(Rank src, Tag tag, void* buf, std::size_t maxlen,
                        const Comp& comp, std::uint64_t user_context = 0);
 
-  // ---- one-sided get --------------------------------------------------------
-
-  /// Exposes [ptr, ptr+len) for one-sided gets by peers. The descriptor is
-  /// plain data; ship it to peers inside any message.
-  RemoteBuffer register_remote_buffer(void* ptr, std::size_t len) {
-    return RemoteBuffer{nic_.register_memory(ptr, len), len};
-  }
-  void deregister_remote_buffer(const RemoteBuffer& buffer) {
-    nic_.deregister_memory(buffer.mr);
-  }
-
-  /// One-sided get: reads `len` bytes at `offset` inside the peer's
-  /// registered buffer into `dst`, without peer software involvement.
-  /// Completion (kGet) signals the chosen local mechanism. Not backlogged:
-  /// kRetry means nothing was posted.
-  common::Status get(const RemoteBuffer& src, std::size_t offset, void* dst,
-                     std::size_t len, const Comp& comp,
-                     std::uint64_t user_context = 0);
-
   // ---- one-sided dynamic put ----------------------------------------------
 
-  /// Dynamic put: the target buffer is allocated on arrival and a kRemotePut
-  /// entry lands in the *target's* remote_put_cq. Any size.
-  common::Status put_dyn(Rank dst, Tag tag, const void* data, std::size_t len,
-                         const Comp& local_comp, std::uint64_t user_context = 0);
-
   /// Dynamic put from a pool packet assembled in place (the parcelport's
-  /// header-message fast path). Always consumes the packet.
+  /// header message): the target buffer is allocated on arrival and a
+  /// kRemotePut entry lands in the *target's* remote_put_cq (or its tag
+  /// handler). Local completion is kPutDyn. Always consumes the packet.
   common::Status put_dyn_packet(Rank dst, Tag tag, PacketBuffer& packet,
                                 const Comp& local_comp,
                                 std::uint64_t user_context = 0);
@@ -172,22 +154,6 @@ class Device {
     std::size_t expected_size = 0;
   };
 
-  struct PutSend {  // large dynamic put awaiting CTS
-    std::vector<std::byte> data;  // owned: put_dyn copies (any-size payload)
-    Comp comp;
-    Tag tag = 0;
-    Rank dst = 0;
-    std::uint64_t user_context = 0;
-  };
-
-  struct PutRecv {  // large dynamic put: target-side allocated buffer
-    std::vector<std::byte> data;
-    fabric::MrKey mr;
-    Tag tag = 0;
-    Rank src = 0;
-    std::uint32_t expected_crc = 0;  // integrity mode only (see RdvRecv)
-  };
-
   // Largest control-message payload (CtsPayload); a parked copy this small
   // is buffered inline instead of in a heap vector.
   static constexpr std::size_t kMaxCtrlPayload = 24;
@@ -226,12 +192,7 @@ class Device {
                        PostedRecv&& recv);
   void handle_cts(Rank src, const std::byte* payload, std::size_t len);
   void handle_fin(std::uint32_t recv_id, std::size_t written);
-  void handle_put_eager(Rank src, Tag tag, std::vector<std::byte>&& data);
-  void handle_put_rts(Rank src, Tag tag, std::size_t size,
-                      std::uint32_t sender_id, std::uint32_t crc);
-  void handle_put_cts(Rank src, const std::byte* payload, std::size_t len);
-  void handle_put_fin(std::uint32_t recv_id);
-  void handle_get_done(std::uint32_t get_id);
+  void handle_put(Rank src, Tag tag, std::vector<std::byte>&& data);
   /// Posts a small fixed-size control message (RTS/CTS family) from the
   /// caller's stack; a parked one is copied into the inline buffer.
   void send_ctrl(Rank dst, std::uint64_t imm, const void* payload,
@@ -287,22 +248,12 @@ class Device {
   bool deliver_to_handler(Rank src, Tag tag, OpKind op,
                           std::vector<std::byte>&& data);
 
-  struct PendingGet {  // one-sided get awaiting the read completion
-    Comp comp;
-    std::uint64_t user_context = 0;
-    Rank src = 0;
-    std::size_t len = 0;
-  };
-
   // Rendezvous state, sharded by id (the id encodes its shard — see
   // rdv_table.hpp). Each kind keeps its own id space: a CTS can only name a
-  // rdv_sends_ id, a FIN only a rdv_recvs_ id, and so on, so the tables
-  // never alias even when ids collide numerically.
+  // rdv_sends_ id and a FIN only a rdv_recvs_ id, so the tables never alias
+  // even when ids collide numerically.
   ShardedIdTable<RdvSend> rdv_sends_;
   ShardedIdTable<RdvRecv> rdv_recvs_;
-  ShardedIdTable<PutSend> put_sends_;
-  ShardedIdTable<PutRecv> put_recvs_;
-  ShardedIdTable<PendingGet> pending_gets_;
 
   // The backlog: one MPSC lane per destination. Producers (any thread on
   // the injection path) push wait-free; progress and posting threads drain

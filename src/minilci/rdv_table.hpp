@@ -1,7 +1,7 @@
 // ShardedIdTable — the rendezvous-state store of the progress engine.
 //
 // Every in-flight rendezvous operation (long send awaiting CTS, long recv
-// awaiting the RDMA write, large put, pending get) parks its state under a
+// awaiting the RDMA write) parks its state under a
 // freshly allocated 32-bit id that travels in the control messages. The
 // paper's multi-threaded progress analysis makes the cost model clear: with
 // one global map + mutex, every CTS/FIN handled by any progress thread

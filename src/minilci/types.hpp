@@ -3,14 +3,14 @@
 //
 // Feature set reproduced (paper §2.1):
 //   * two-sided medium (eager) and long (rendezvous) send/receive,
-//   * one-sided *dynamic put*: the target buffer is allocated by the runtime
-//     on arrival and an entry is pushed to a pre-configured completion queue
-//     on the remote side,
+//   * one-sided *dynamic put* (eager, from a pool packet): the target buffer
+//     is allocated by the runtime on arrival and an entry is pushed to a
+//     pre-configured completion queue on the remote side,
 //   * three completion mechanisms — completion queues, synchronizers, and
 //     function handlers — combinable with any primitive,
 //   * explicit progress() and one send backlog per destination: a post the
 //     NIC cannot take parks and is injected by progress(), so sends and puts
-//     never return Status::kRetry (get() still does),
+//     never return Status::kRetry,
 //   * no ordering guarantee between messages (the fabric stripes rails).
 //
 // Concurrency discipline (the paper's point (a)): no global lock anywhere —
@@ -58,15 +58,6 @@ enum class OpKind : std::uint8_t {
   kRecvLong,
   kPutDyn,     // local completion of a dynamic put
   kRemotePut,  // remote side of a dynamic put (pushed to the device's RCQ)
-  kGet,        // local completion of a one-sided get
-};
-
-/// Descriptor of a remotely readable buffer, obtained from
-/// Device::register_remote_buffer and shipped to peers out of band (it is
-/// trivially copyable, so it serializes as a scalar).
-struct RemoteBuffer {
-  fabric::MrKey mr;
-  std::uint64_t len = 0;
 };
 
 /// Completion record delivered through a queue, synchronizer, or handler.

@@ -572,7 +572,7 @@ void LciParcelport::ReceiverConnection::reset() {
 void LciParcelport::handle_header(amt::Rank src, const std::byte* data,
                                   std::size_t size) {
   amt::DecodedHeader decoded = amt::decode_header(data, size);
-  check_seq(src, decoded.fields.seq);
+  check_seq(src, decoded.fields.seq, /*frame=*/false);
 
   ReceiverConnection* connection = acquire(receiver_pool_);
   connection->src = src;
@@ -612,13 +612,11 @@ void LciParcelport::handle_header(amt::Rank src, const std::byte* data,
   connection->drop_ref(*this);
 }
 
-void LciParcelport::check_seq(amt::Rank src, std::uint32_t seq) {
-  // Header messages and frames share one per-channel sequence space, so one
-  // tracker catches a duplicate of either — which would double-deliver a
-  // parcel: fail fast.
+void LciParcelport::check_seq(amt::Rank src, std::uint32_t seq, bool frame) {
+  // A duplicate of either kind would double-deliver a parcel: fail fast.
   HeaderSeqRx& rx = header_seq_rx_[src].value;
   std::lock_guard<common::SpinMutex> guard(rx.mutex);
-  if (!rx.tracker.accept(seq)) {
+  if (!(frame ? rx.frames : rx.headers).accept(seq)) {
     common::integrity_fail("pplci: duplicated message rank=", context_.rank,
                            " src=", src, " seq=", seq,
                            " — a duplicate would double-deliver a parcel");
@@ -635,7 +633,7 @@ void LciParcelport::frame_handler(minilci::CqEntry&& entry, void* arg) {
   auto& port = *static_cast<LciParcelport*>(arg);
   const amt::BatchHeader header =
       amt::decode_frame(entry.data.data(), entry.data.size());
-  port.check_seq(entry.rank, header.seq);
+  port.check_seq(entry.rank, header.seq, /*frame=*/true);
   amt::take_frame_entries(std::move(entry.data), header.count, entry.rank,
                           [&port](amt::InMessage&& in) {
                             port.ctr_delivered_.add();

@@ -201,8 +201,9 @@ class LciParcelport final : public amt::Parcelport {
 
   std::uint32_t alloc_tags(std::size_t count);
   void handle_header(amt::Rank src, const std::byte* data, std::size_t size);
-  /// The one per-channel duplicate check for header messages and frames.
-  void check_seq(amt::Rank src, std::uint32_t seq);
+  /// The per-channel duplicate check for header messages (`frame` false)
+  /// and frames (`frame` true).
+  void check_seq(amt::Rank src, std::uint32_t seq, bool frame);
   /// Frame delivery: fired as a minilci handler completion from progress
   /// context when a frame arrives on kFastpathTag.
   static void frame_handler(minilci::CqEntry&& entry, void* arg);
@@ -294,11 +295,17 @@ class LciParcelport final : public amt::Parcelport {
 
   // End-to-end integrity: per-destination generation counters stamped into
   // every header message and frame, and per-source trackers that fail fast
-  // on a duplicate (which would double-deliver a parcel).
+  // on a duplicate (which would double-deliver a parcel). The two kinds
+  // share the counter but not the tracker: a frame is checked inline in
+  // progress context, a header message only when a worker polls it off a
+  // completion queue, and under a flood that can be more than a tracker
+  // window of frames later. A duplicate always arrives as the same kind as
+  // its original, so per-kind trackers lose no detection.
   std::vector<common::CachePadded<std::atomic<std::uint32_t>>> header_seq_tx_;
   struct HeaderSeqRx {
     common::SpinMutex mutex;
-    amt::HeaderSeqTracker tracker;
+    amt::HeaderSeqTracker headers;
+    amt::HeaderSeqTracker frames;
   };
   std::vector<common::CachePadded<HeaderSeqRx>> header_seq_rx_;
 

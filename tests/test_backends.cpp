@@ -1,7 +1,8 @@
 // Transport-backend tests: the shm ring primitive, backend selection
 // plumbing, a {sim, shm} conformance sweep over the parcelport configs the
 // main e2e suite covers (all 8 LCI variants, fastpath, aggregation, MPI),
-// one chaos row on both backends, the ring-fallback path, a real
+// one chaos row on both backends, the ring-fallback path, malformed ring
+// records that must abort, a real
 // fork()-based two-process ping-pong over POSIX shared memory, and thread
 // placement under a per-process CPU range (as amtnet_launch sets).
 //
@@ -13,12 +14,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #define AMTNET_TEST_HAVE_FORK 1
@@ -385,52 +390,101 @@ TEST(ShmFallback, ZeroCopyTrafficSurvivesSegmentedRings) {
   ::unsetenv("AMTNET_SHM_RING_DEPTH");
 }
 
-// A fallback read whose MR was deregistered before the target served it
-// must not pretend success: the requester's kReadDone carries size 0 (not
-// the requested length) and the destination buffer stays untouched.
-TEST(ShmFallback, RefusedReadCompletesWithZeroSize) {
+// ---------------- hostile ring records ----------------
+//
+// Every ring record is peer input. Each case publishes a malformed record
+// into the 0->1 ring of a live two-rank shm fabric, reaching it the way a
+// peer process would (by mapping the pair segment named after
+// Config::shm_session), and has rank 1 poll it: the NIC must abort through
+// common::integrity_fail, never copy out of or into memory the record does
+// not own. Fork-style death tests: the parent owns (and unlinks) the
+// segments, the forked child inherits the mapped fabric and dies.
+
+#if AMTNET_TEST_HAVE_FORK
+namespace hostile {
+
+class LivePair {
+ public:
+  explicit LivePair(const std::string& name) {
+    config_.backend = "shm";
+    config_.num_ranks = 2;
+    config_.shm_session =
+        "amtnet-test-" + name + "-" + std::to_string(::getpid());
+    fabric_ = std::make_unique<fabric::Fabric>(config_);
+    const std::string pair = "/" + config_.shm_session + "-p0x1";
+    const int fd = ::shm_open(pair.c_str(), O_RDWR, 0600);
+    EXPECT_GE(fd, 0);
+    struct stat st {};
+    EXPECT_EQ(::fstat(fd, &st), 0);
+    size_ = static_cast<std::size_t>(st.st_size);
+    base_ = ::mmap(nullptr, size_, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
+    ::close(fd);
+    EXPECT_NE(base_, MAP_FAILED);
+  }
+  ~LivePair() { ::munmap(base_, size_); }
+
+  fabric::Nic& target() { return fabric_->nic(1); }
+
+  /// The 0->1 ring as rank 0 sees it (ring_offset[0]: lower to higher).
+  ShmRing& ring() {
+    const auto* header = static_cast<fabric::detail::ShmPairHeader*>(base_);
+    return *reinterpret_cast<ShmRing*>(static_cast<std::byte*>(base_) +
+                                       header->ring_offset[0]);
+  }
+
+  /// Publishes `rec` (with a zero-filled slot payload) and polls rank 1.
+  void publish_and_poll(const ShmRecord& rec) {
+    std::uint64_t pos = 0;
+    ShmSlot* slot = ring().try_claim(pos);
+    if (slot == nullptr) return;
+    slot->record = rec;
+    std::memset(slot->payload(), 0, ring().payload_cap);
+    ring().publish(slot, pos);
+    target().poll_rx(8, [](fabric::RxEvent&&) {});
+  }
+
+ private:
+  fabric::Config config_;
+  std::unique_ptr<fabric::Fabric> fabric_;
+  void* base_ = nullptr;
+  std::size_t size_ = 0;
+};
+
+}  // namespace hostile
+
+TEST(ShmRingDeathTest, RecordLongerThanItsSlotAborts) {
   if (!fabric::shm_available()) {
     GTEST_SKIP() << "POSIX shared memory unavailable on this platform";
   }
-  ::setenv("AMTNET_SHM_FORCE_FALLBACK", "1", 1);
-  fabric::Config config;
-  config.backend = "shm";
-  config.num_ranks = 2;
-  fabric::Fabric fab(config);
-  fabric::Nic& requester = fab.nic(0);
-  fabric::Nic& target = fab.nic(1);
-
-  std::vector<std::byte> region(1024, std::byte{0x5a});
-  const fabric::MrKey key =
-      target.register_memory(region.data(), region.size());
-  std::vector<std::byte> dst(1024, std::byte{0xee});
-  ASSERT_EQ(requester.post_read(1, key, 0, dst.data(), dst.size(), 7),
-            common::Status::kOk);
-  // The request is in flight; deregistering now races it, exactly like a
-  // receiver tearing down a rendezvous buffer.
-  target.deregister_memory(key);
-
-  target.poll_rx(64, [](fabric::RxEvent&&) {});  // serves (and refuses) it
-  std::size_t done_events = 0;
-  std::size_t done_size = ~std::size_t{0};
-  std::uint64_t done_imm = 0;
-  for (int i = 0; i < 100 && done_events == 0; ++i) {
-    requester.poll_rx(64, [&](fabric::RxEvent&& event) {
-      if (event.kind == fabric::RxEvent::Kind::kReadDone) {
-        ++done_events;
-        done_size = event.size;
-        done_imm = event.imm;
-      }
-    });
-  }
-  EXPECT_EQ(done_events, 1u);
-  EXPECT_EQ(done_size, 0u);  // NOT the 1024 bytes requested
-  EXPECT_EQ(done_imm, 7u);
-  const auto untouched = static_cast<std::size_t>(
-      std::count(dst.begin(), dst.end(), std::byte{0xee}));
-  EXPECT_EQ(untouched, dst.size());
-  ::unsetenv("AMTNET_SHM_FORCE_FALLBACK");
+  ::testing::FLAGS_gtest_death_test_style = "fast";
+  hostile::LivePair pair("oversize");
+  ShmRecord rec;
+  rec.kind = ShmRecord::kEager;
+  rec.len = static_cast<std::uint32_t>(pair.ring().payload_cap + 1);
+  EXPECT_DEATH(pair.publish_and_poll(rec), "INTEGRITY FAILURE.*payload bytes");
 }
+
+TEST(ShmRingDeathTest, WriteFragmentOffsetThatWrapsAborts) {
+  if (!fabric::shm_available()) {
+    GTEST_SKIP() << "POSIX shared memory unavailable on this platform";
+  }
+  ::testing::FLAGS_gtest_death_test_style = "fast";
+  hostile::LivePair pair("wrap");
+  std::vector<std::byte> region(64, std::byte{0});
+  const fabric::MrKey key =
+      pair.target().register_memory(region.data(), region.size());
+  ShmRecord rec;
+  rec.kind = ShmRecord::kWriteFrag;
+  rec.flags = ShmRecord::kFlagLast;
+  rec.mr_id = key.id;
+  rec.len = 16;
+  rec.total_len = 16;
+  // offset + len wraps to 8, which a naive `offset + len <= mr_len` accepts.
+  rec.offset = ~std::uint64_t{0} - 7;
+  EXPECT_DEATH(pair.publish_and_poll(rec), "INTEGRITY FAILURE.*overruns MR");
+  pair.target().deregister_memory(key);
+}
+#endif
 
 // poll_rx may run on several threads at once (the Nic contract), so the
 // fragments of one fallback write can be consumed concurrently. The

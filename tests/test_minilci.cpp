@@ -1,6 +1,7 @@
 // Tests for minilci: completion mechanisms (queue / synchronizer / handler),
-// medium & long protocols, dynamic put (eager + rendezvous), the send backlog,
-// matching-table properties, packet pool, and progress thread-safety.
+// medium & long protocols, dynamic put, the send backlog, length checks on
+// peer control payloads, matching-table properties, packet pool, and
+// progress thread-safety.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -436,13 +437,17 @@ TEST(LciDevice, LongUnexpectedRtsThenRecvl) {
 
 // ---------------- dynamic put ----------------
 
-TEST(LciDevice, PutDynEagerLandsInRemoteCq) {
+TEST(LciDevice, PutDynPacketFastPath) {
   Pair pair;
-  const auto data = testutil::make_pattern(7, 128);
+  auto packet = pair.dev0.try_alloc_packet();
+  ASSERT_TRUE(packet.has_value());
+  const auto data = testutil::make_pattern(9, 40);
+  std::memcpy(packet->data(), data.data(), data.size());
+  packet->set_size(40);
   CompQueue local;
-  ASSERT_EQ(pair.dev0.put_dyn(1, 55, data.data(), data.size(),
-                              Comp::queue(&local)),
+  ASSERT_EQ(pair.dev0.put_dyn_packet(1, 12, *packet, Comp::queue(&local)),
             common::Status::kOk);
+  EXPECT_FALSE(packet->valid());  // consumed
   auto sent = local.poll();
   ASSERT_TRUE(sent.has_value());
   EXPECT_EQ(sent->op, OpKind::kPutDyn);
@@ -454,118 +459,28 @@ TEST(LciDevice, PutDynEagerLandsInRemoteCq) {
   }));
   EXPECT_EQ(got->op, OpKind::kRemotePut);
   EXPECT_EQ(got->rank, 0u);
-  EXPECT_EQ(got->tag, 55u);
-  EXPECT_TRUE(testutil::check_pattern(got->data.data(), 7, 128));
-}
-
-TEST(LciDevice, PutDynLargeUsesRendezvous) {
-  Pair pair;
-  const std::size_t size = 128 * 1024;
-  const auto data = testutil::make_pattern(8, size);
-  CompQueue local;
-  ASSERT_EQ(pair.dev0.put_dyn(1, 66, data.data(), data.size(),
-                              Comp::queue(&local)),
-            common::Status::kOk);
-  std::optional<CqEntry> got, sent;
-  ASSERT_TRUE(pair.pump_until([&] {
-    if (!got) got = pair.rcq1.poll();
-    if (!sent) sent = local.poll();
-    return got.has_value() && sent.has_value();
-  }));
-  EXPECT_EQ(got->op, OpKind::kRemotePut);
-  EXPECT_EQ(got->size, size);
-  EXPECT_TRUE(testutil::check_pattern(got->data.data(), 8, size));
-  EXPECT_EQ(sent->op, OpKind::kPutDyn);
-}
-
-TEST(LciDevice, PutDynPacketFastPath) {
-  Pair pair;
-  auto packet = pair.dev0.try_alloc_packet();
-  ASSERT_TRUE(packet.has_value());
-  const auto data = testutil::make_pattern(9, 40);
-  std::memcpy(packet->data(), data.data(), data.size());
-  packet->set_size(40);
-  ASSERT_EQ(pair.dev0.put_dyn_packet(1, 12, *packet, Comp::none()),
-            common::Status::kOk);
-  std::optional<CqEntry> got;
-  ASSERT_TRUE(pair.pump_until([&] {
-    if (!got) got = pair.rcq1.poll();
-    return got.has_value();
-  }));
+  EXPECT_EQ(got->tag, 12u);
+  EXPECT_EQ(got->size, 40u);
   EXPECT_TRUE(testutil::check_pattern(got->data.data(), 9, 40));
 }
 
-// ---------------- one-sided get ----------------
-
-TEST(LciDevice, GetReadsRemoteBuffer) {
+// A control payload is peer input: an RTS shorter than its 16-byte hello
+// must abort in every build type, not be over-read once NDEBUG drops the
+// assert.
+TEST(LciDeviceDeathTest, ShortRtsPayloadAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   Pair pair;
-  std::vector<double> remote(100);
-  for (std::size_t i = 0; i < remote.size(); ++i) {
-    remote[i] = static_cast<double>(i) * 1.5;
-  }
-  const auto buffer = pair.dev1.register_remote_buffer(
-      remote.data(), remote.size() * sizeof(double));
-
-  std::vector<double> local(10, 0.0);
-  CompQueue cq;
-  ASSERT_EQ(pair.dev0.get(buffer, 20 * sizeof(double), local.data(),
-                          local.size() * sizeof(double), Comp::queue(&cq),
-                          555),
+  // The device's wire immediate: [63:56] message kind (3 = RTS) | tag.
+  constexpr std::uint64_t kRtsImm = (std::uint64_t{3} << 56) | 5;
+  const std::uint32_t short_hello = 64;
+  ASSERT_EQ(pair.fabric.nic(0).post_send(1, &short_hello, sizeof(short_hello),
+                                         kRtsImm),
             common::Status::kOk);
-  std::optional<CqEntry> done;
-  ASSERT_TRUE(pair.pump_until([&] {
-    if (!done) done = cq.poll();
-    return done.has_value();
-  }));
-  EXPECT_EQ(done->op, OpKind::kGet);
-  EXPECT_EQ(done->rank, 1u);
-  EXPECT_EQ(done->user_context, 555u);
-  for (std::size_t i = 0; i < local.size(); ++i) {
-    EXPECT_DOUBLE_EQ(local[i], static_cast<double>(20 + i) * 1.5);
-  }
-  pair.dev1.deregister_remote_buffer(buffer);
-}
-
-TEST(LciDevice, GetBeyondBufferRejected) {
-  Pair pair;
-  std::vector<double> remote(4);
-  const auto buffer = pair.dev1.register_remote_buffer(
-      remote.data(), remote.size() * sizeof(double));
-  double local[4];
-  EXPECT_EQ(pair.dev0.get(buffer, 8, local, sizeof(local), Comp::none()),
-            common::Status::kError);
-  pair.dev1.deregister_remote_buffer(buffer);
-}
-
-TEST(LciDevice, GetDescriptorTravelsThroughMessages) {
-  // The intended workflow: advertise a buffer by shipping its descriptor in
-  // a medium message, then the peer gets directly.
-  Pair pair;
-  std::vector<std::uint64_t> remote(32);
-  for (std::size_t i = 0; i < remote.size(); ++i) remote[i] = i * i;
-  const auto buffer = pair.dev1.register_remote_buffer(
-      remote.data(), remote.size() * sizeof(std::uint64_t));
-
-  CompQueue cq0;
-  ASSERT_EQ(pair.dev0.recvm(1, 7, Comp::queue(&cq0)), common::Status::kOk);
-  ASSERT_EQ(pair.dev1.sendm(0, 7, &buffer, sizeof(buffer), Comp::none()),
-            common::Status::kOk);
-  std::optional<CqEntry> advert;
-  ASSERT_TRUE(pair.pump_until([&] {
-    if (!advert) advert = cq0.poll();
-    return advert.has_value();
-  }));
-  minilci::RemoteBuffer received;
-  std::memcpy(&received, advert->data.data(), sizeof(received));
-
-  std::vector<std::uint64_t> local(32);
-  Synchronizer sync;
-  ASSERT_EQ(pair.dev0.get(received, 0, local.data(),
-                          local.size() * sizeof(std::uint64_t),
-                          Comp::sync(&sync)),
-            common::Status::kOk);
-  ASSERT_TRUE(pair.pump_until([&] { return sync.test(); }));
-  EXPECT_EQ(local, remote);
+  EXPECT_DEATH(
+      {
+        for (int i = 0; i < 100; ++i) pair.dev1.progress();
+      },
+      "INTEGRITY FAILURE.*control payload");
 }
 
 // ---------------- backlog semantics ----------------

@@ -960,6 +960,57 @@ TEST(LciPipeline, StopWithQueuedSenderCompletionsFreesConnections) {
   EXPECT_TRUE(delivered);
   EXPECT_GT(unfinished, 0) << "the sender's completions were drained";
 }
+TEST(LciPipeline, HeaderQueuedBehindAFrameFloodIsNotADuplicate) {
+  // Header messages and frames share one per-channel seq space, but a frame
+  // is checked inline in progress context while a header message waits in
+  // the remote-put queue until a worker polls it. Here the receiver's only
+  // worker is held while its progress thread checks more frames than the
+  // seq tracker's window, all stamped after one header message; that
+  // header, checked last, is a straggler, not a duplicate.
+  StackOptions options;
+  options.parcelport = "lci_psr_cq_pin_i";
+  options.num_localities = 2;
+  options.threads_per_locality = 1;
+  options.platform = "loopback";
+  auto runtime = amtnet::make_runtime(options);
+
+  constexpr std::uint64_t kFrames = amt::HeaderSeqTracker::kWindow + 4096;
+  constexpr std::uint64_t kValues = 2048;  // 16 KiB: a header message
+  e2e::counter.store(0);
+  e2e::large_checksum.store(0);
+  std::atomic<bool> held{false};
+  std::atomic<bool> release{false};
+  runtime->locality(1).spawn([&] {
+    held.store(true);
+    while (!release.load()) std::this_thread::yield();
+  });
+  ASSERT_TRUE(testutil::spin_until([&] { return held.load(); },
+                                   std::chrono::milliseconds(10000)));
+  runtime->locality(0).spawn([&] {
+    amt::here().apply<&e2e::consume>(1,
+                                     std::vector<std::uint64_t>(kValues, 1));
+    for (std::uint64_t i = 0; i < kFrames; ++i) {
+      amt::here().apply<&e2e::bump>(1, std::uint64_t{1});
+    }
+  });
+  // Every frame has passed the receiver's seq check once its NIC has taken
+  // the header message and all the frames.
+  const bool frames_checked = testutil::spin_until(
+      [&] {
+        return runtime->telemetry().snapshot().counter(
+                   "fabric/nic1/packets_received") >= kFrames + 1;
+      },
+      std::chrono::milliseconds(30000));
+  release.store(true);
+  EXPECT_TRUE(frames_checked);
+  EXPECT_TRUE(testutil::spin_until(
+      [&] {
+        return e2e::counter.load() == kFrames &&
+               e2e::large_checksum.load() == kValues;
+      },
+      std::chrono::milliseconds(30000)));
+  runtime->stop();
+}
 #endif  // AMTNET_TELEMETRY_DISABLED
 
 // ---------------- cross-locality scaling sanity ----------------
