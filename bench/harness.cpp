@@ -223,8 +223,8 @@ void lat_pong(std::uint32_t chain, std::uint32_t remaining,
 }
 
 // Multi-zchunk ping-pong: every hop ships its vectors as independent
-// zero-copy follow-ups, so per-hop latency directly exposes whether the
-// pieces travel serialized (pipeline depth 1) or overlapped.
+// zero-copy follow-ups, so per-hop latency directly exposes how well the
+// pieces overlap on the wire.
 void lat_pong_z4(std::uint32_t chain, std::uint32_t remaining,
                  std::vector<std::uint8_t> a, std::vector<std::uint8_t> b,
                  std::vector<std::uint8_t> c, std::vector<std::uint8_t> d);

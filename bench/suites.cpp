@@ -221,9 +221,9 @@ void print_mpi_original_speedup(const SuiteResult& result) {
   }
 }
 
-/// Progress-engine ablation view: per config (completion x tickets x
-/// shards), the rate_kps median at each pinned worker count — the scaling
-/// curves the ablation argues over.
+/// Progress-engine ablation view: per config (completion mechanism), the
+/// rate_kps median at each pinned worker count — the scaling curves the
+/// ablation argues over.
 void print_progress_scaling(const SuiteResult& result) {
   // variant -> workers -> rate, insertion-ordered by first appearance.
   std::vector<std::pair<std::string, std::map<int, double>>> rows;
@@ -749,42 +749,33 @@ SuiteSpec ablation_pipeline() {
   SuiteSpec s;
   s.name = "ablation_pipeline";
   s.figure = "follow-up pipelining ablation";
-  s.title = "LCI follow-up pipeline depth (pd1/pd4/pd16/unbounded)";
+  s.title = "LCI follow-up pipelining: 16KiB rate and latency vs zero-copy "
+            "chunks per message";
   s.expectation =
-      "unbounded depth sustains a rate >= depth 1, and the gap grows with "
-      "the number of zero-copy chunks per message (more independent pieces "
-      "to overlap)";
+      "every follow-up piece is posted at once, so the pieces of one message "
+      "overlap on the wire: single-chain latency with 4 zero-copy chunks "
+      "stays well under twice the 2-chunk latency";
   s.smoke = true;
-  struct Depth {
-    const char* label;
-    const char* config;
-  };
-  const std::vector<Depth> depths = {{"1", "lci_psr_cq_pin_pd1_i"},
-                                     {"4", "lci_psr_cq_pin_pd4_i"},
-                                     {"16", "lci_psr_cq_pin_pd16_i"},
-                                     {"inf", "lci_psr_cq_pin_i"}};
+  // The "depth" label names the (only) follow-up posting policy, so the
+  // recorded points keep their identity.
   for (std::size_t zchunks : {1u, 2u, 4u}) {
-    for (const Depth& depth : depths) {
-      PointSpec p = rate_point(depth.config, 16 * 1024, 10, 800, 0.0);
-      p.zchunk_count = zchunks;
-      p.fabric_rails = 4;
-      p.labels["depth"] = depth.label;
-      p.labels["zchunks"] = std::to_string(zchunks);
-      s.points.push_back(std::move(p));
-    }
+    PointSpec p = rate_point("lci_psr_cq_pin_i", 16 * 1024, 10, 800, 0.0);
+    p.zchunk_count = zchunks;
+    p.fabric_rails = 4;
+    p.labels["depth"] = "inf";
+    p.labels["zchunks"] = std::to_string(zchunks);
+    s.points.push_back(std::move(p));
   }
-  // Per-message view: single-chain multi-zchunk ping-pong exposes the
-  // serialized piece walk directly (the flood above hides it behind
-  // cross-message parallelism).
+  // Per-message view: single-chain multi-zchunk ping-pong shows the piece
+  // overlap directly (the flood above hides it behind cross-message
+  // parallelism).
   for (std::size_t zchunks : {2u, 4u}) {
-    for (const Depth& depth : depths) {
-      PointSpec p = latency_point(depth.config, 16 * 1024, 1, 150);
-      p.zchunk_count = zchunks;
-      p.fabric_rails = 4;
-      p.labels["depth"] = depth.label;
-      p.labels["zchunks"] = std::to_string(zchunks);
-      s.points.push_back(std::move(p));
-    }
+    PointSpec p = latency_point("lci_psr_cq_pin_i", 16 * 1024, 1, 150);
+    p.zchunk_count = zchunks;
+    p.fabric_rails = 4;
+    p.labels["depth"] = "inf";
+    p.labels["zchunks"] = std::to_string(zchunks);
+    s.points.push_back(std::move(p));
   }
   s.probes = {{"send_retries", "pplci/", "/send_retries"}};
   return s;
@@ -794,57 +785,29 @@ SuiteSpec ablation_progress() {
   SuiteSpec s;
   s.name = "ablation_progress";
   s.figure = "progress-engine scaling ablation";
-  s.title =
-      "mt progress scaling: rendezvous shards x progress tickets x workers";
+  s.title = "mt progress scaling: completion mechanism x workers";
   s.expectation =
-      "with sharded rendezvous state the 16KiB flood rate holds or improves "
-      "as idle workers join the mt progress pool, while the rs1 single-table "
-      "baseline flattens first; a small ticket bound (pt1/pt2) keeps most of "
-      "the unbounded rate without the full polling herd (progress_skips "
-      "counts the turned-away pollers)";
+      "the 16KiB flood rate holds or improves as idle workers join the mt "
+      "progress pool, under both completion mechanisms";
   s.smoke = true;
-  struct Tickets {
-    const char* label;
-    const char* token;  // appended after _mt; "" = unbounded (no token)
-  };
-  const std::vector<Tickets> tickets = {{"1", "_pt1"},
-                                        {"2", "_pt2"},
-                                        {"inf", ""}};
   for (const char* comp : {"cq", "sy"}) {
-    for (const Tickets& ticket : tickets) {
-      for (unsigned workers : {1u, 2u, 4u, 8u}) {
-        const std::string config =
-            std::string("lci_psr_") + comp + "_mt" + ticket.token + "_i";
-        PointSpec p = rate_point(config, 16 * 1024, 10, k16kFloodMsgs, 0.0);
-        p.workers = workers;
-        p.fabric_rails = 4;
-        // Four zero-copy chunks per message: every parcel drives four
-        // concurrent rendezvous handshakes through the shared tables, so
-        // the point measures progress-path contention, not fabric copies.
-        p.zchunk_count = 4;
-        p.labels["comp"] = comp;
-        p.labels["tickets"] = ticket.label;
-        p.labels["workers"] = std::to_string(workers);
-        s.points.push_back(std::move(p));
-      }
+    for (unsigned workers : {1u, 2u, 4u, 8u}) {
+      const std::string config = std::string("lci_psr_") + comp + "_mt_i";
+      PointSpec p = rate_point(config, 16 * 1024, 10, k16kFloodMsgs, 0.0);
+      p.workers = workers;
+      p.fabric_rails = 4;
+      // Four zero-copy chunks per message: every parcel drives four
+      // concurrent rendezvous handshakes through the shared tables, so
+      // the point measures progress-path contention, not fabric copies.
+      p.zchunk_count = 4;
+      p.labels["comp"] = comp;
+      // Every idle worker polls; the label keeps the recorded points'
+      // identity.
+      p.labels["tickets"] = "inf";
+      p.labels["workers"] = std::to_string(workers);
+      s.points.push_back(std::move(p));
     }
   }
-  // The pre-sharding baseline: one global rendezvous table (rs1), every
-  // idle worker polling (ptinf). The scaling gap against the rows above is
-  // the ablation's headline.
-  for (unsigned workers : {1u, 2u, 4u, 8u}) {
-    PointSpec p =
-        rate_point("lci_psr_cq_mt_rs1_i", 16 * 1024, 10, k16kFloodMsgs, 0.0);
-    p.workers = workers;
-    p.fabric_rails = 4;
-    p.zchunk_count = 4;
-    p.labels["comp"] = "cq";
-    p.labels["tickets"] = "inf";
-    p.labels["shards"] = "1";
-    p.labels["workers"] = std::to_string(workers);
-    s.points.push_back(std::move(p));
-  }
-  s.probes = {{"progress_skips", "pplci/", "/progress_skips"}};
   s.post_summary = print_progress_scaling;
   return s;
 }

@@ -65,35 +65,6 @@ ParcelportConfig ParcelportConfig::parse(const std::string& name) {
       config.progress = ProgressType::kWorker;
     } else if (token == "i") {
       config.send_immediate = true;
-    } else if (token == "pdinf") {
-      config.lci_pipeline_depth = 0;
-    } else if (token.size() > 2 && token.compare(0, 2, "pd") == 0 &&
-               token.find_first_not_of("0123456789", 2) == std::string::npos) {
-      const unsigned long depth = std::stoul(token.substr(2));
-      if (depth == 0) {
-        throw std::invalid_argument(
-            "pipeline depth must be >= 1 (use pdinf for unbounded): " + name);
-      }
-      config.lci_pipeline_depth = depth;
-    } else if (token == "ptinf") {
-      config.lci_progress_threads = 0;
-    } else if (token.size() > 2 && token.compare(0, 2, "pt") == 0 &&
-               token.find_first_not_of("0123456789", 2) == std::string::npos) {
-      const unsigned long threads = std::stoul(token.substr(2));
-      if (threads == 0) {
-        throw std::invalid_argument(
-            "progress-ticket bound must be >= 1 (use ptinf for unbounded): " +
-            name);
-      }
-      config.lci_progress_threads = threads;
-    } else if (token.size() > 2 && token.compare(0, 2, "rs") == 0 &&
-               token.find_first_not_of("0123456789", 2) == std::string::npos) {
-      const unsigned long shards = std::stoul(token.substr(2));
-      if (shards == 0) {
-        throw std::invalid_argument(
-            "rendezvous shard count must be >= 1: " + name);
-      }
-      config.lci_rdv_shards = shards;
     } else if (token == "fp") {
       config.lci_fastpath = 1;
     } else if (token == "fpoff") {
@@ -177,15 +148,6 @@ std::string ParcelportConfig::name() const {
     out += (protocol == Protocol::kPutSendRecv) ? "_psr" : "_sr";
     out += (completion == CompType::kQueue) ? "_cq" : "_sy";
     out += (progress == ProgressType::kPinned) ? "_pin" : "_mt";
-    if (lci_pipeline_depth > 0) {
-      out += "_pd" + std::to_string(lci_pipeline_depth);
-    }
-    if (lci_progress_threads > 0) {
-      out += "_pt" + std::to_string(lci_progress_threads);
-    }
-    if (lci_rdv_shards > 0) {
-      out += "_rs" + std::to_string(lci_rdv_shards);
-    }
     if (lci_fastpath == 0) {
       out += "_fpoff";
     } else if (lci_fastpath == 1) {

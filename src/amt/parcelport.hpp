@@ -62,23 +62,6 @@ struct ParcelportConfig {
   CompType completion = CompType::kQueue;
   bool send_immediate = false;  // "_i": bypass parcel queue + connection cache
 
-  /// LCI follow-up pipeline depth: max in-flight follow-up pieces per
-  /// connection. 0 = unbounded (post everything eagerly, the default);
-  /// 1 reproduces the serialized one-op-per-connection behaviour. Parsed
-  /// from a "pd<N>" token ("pdinf" = unbounded).
-  std::size_t lci_pipeline_depth = 0;
-
-  /// LCI progress-ticket bound: max threads polling the NIC concurrently in
-  /// mt mode (excess callers skip cheaply). 0 = unbounded (every idle
-  /// worker polls, the pre-ticket behaviour). Parsed from a "pt<K>" token
-  /// ("ptinf" = unbounded).
-  std::size_t lci_progress_threads = 0;
-
-  /// LCI rendezvous-state shard count ("rs<N>"; rounded up to a power of
-  /// two by minilci). 0 = the device default; rs1 reproduces the single
-  /// global-table baseline for the progress ablation.
-  std::size_t lci_rdv_shards = 0;
-
   /// LCI small-parcel fast path (put-with-completion): parcels whose whole
   /// frame fits under a byte cap travel as ONE self-contained message and
   /// dispatch from a remote handler. -1 = unset in the name (on, capped at

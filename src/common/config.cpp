@@ -209,18 +209,6 @@ const std::vector<Knob>& knob_registry() {
       {Kind::kConfigToken, "_i", "off",
        "send-immediate: bypass the parcel queue and connection cache",
        "ablation_aggregation"},
-      {Kind::kConfigToken, "pd<N>", "unbounded",
-       "LCI follow-up pipeline depth (pd1 = serialized one-op walk, "
-       "pdinf/no token = unbounded)",
-       "ablation_pipeline"},
-      {Kind::kConfigToken, "pt<K>", "unbounded",
-       "LCI progress-ticket bound: max concurrent NIC pollers in mt mode "
-       "(ptinf/no token = every idle worker polls)",
-       "ablation_progress"},
-      {Kind::kConfigToken, "rs<N>", "16",
-       "LCI rendezvous-state shard count (rs1 = the single global-table "
-       "baseline)",
-       "ablation_progress"},
       {Kind::kConfigToken, "fp | fp<N> | fpoff", "on (eager threshold)",
        "LCI small-parcel fast path: whole parcels at or under the cap ride "
        "a single put-with-completion frame, skipping connection acquisition "

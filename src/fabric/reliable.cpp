@@ -67,7 +67,12 @@ common::Status ReliableEndpoint::send(Rank dst, const void* data,
                                       std::size_t len, std::uint64_t imm) {
   if (!enabled_) return nic_.post_send(dst, data, len, imm);
   assert((imm >> 56) != kReliableAckKind);
-  assert(len + kTrailerSize <= nic_.srq_buffer_size());
+  // Refuse a datagram that cannot fit one receive buffer with its trailer,
+  // as the NICs' post_send does; the bound is written so no `len` wraps it.
+  const std::size_t capacity = nic_.srq_buffer_size();
+  if (capacity < kTrailerSize || len > capacity - kTrailerSize) {
+    return common::Status::kError;
+  }
 
   const std::uint32_t seq =
       tx_seq_[dst].value.fetch_add(1, std::memory_order_relaxed);

@@ -93,8 +93,6 @@ Device::Device(fabric::Fabric& fabric, Rank rank, Config config,
       integrity_on_(fabric.config().faults.integrity_on()),
       packet_pool_(config.packet_pool_size, config.eager_threshold,
                    kPacketCacheSize),
-      rdv_sends_(config.rdv_shards),
-      rdv_recvs_(config.rdv_shards),
       deferred_lanes_(fabric.num_ranks()),
       ctr_progress_calls_(
           fabric.telemetry().counter(dev_metric(rank, "progress_calls"))),

@@ -252,8 +252,8 @@ class Device {
   // rdv_table.hpp). Each kind keeps its own id space: a CTS can only name a
   // rdv_sends_ id and a FIN only a rdv_recvs_ id, so the tables never alias
   // even when ids collide numerically.
-  ShardedIdTable<RdvSend> rdv_sends_;
-  ShardedIdTable<RdvRecv> rdv_recvs_;
+  ShardedIdTable<RdvSend> rdv_sends_{kRdvShards};
+  ShardedIdTable<RdvRecv> rdv_recvs_{kRdvShards};
 
   // The backlog: one MPSC lane per destination. Producers (any thread on
   // the injection path) push wait-free; progress and posting threads drain

@@ -37,8 +37,7 @@ template <typename T>
 class ShardedIdTable {
  public:
   /// `shards` is rounded up to a power of two (minimum 1). One shard
-  /// degenerates to a single table + lock — the pre-sharding behaviour,
-  /// kept reachable (config token `rs1`) as the ablation baseline.
+  /// degenerates to a single table + lock.
   explicit ShardedIdTable(std::size_t shards) {
     std::size_t n = 1;
     while (n < shards && n < kMaxShards) n <<= 1;

@@ -40,14 +40,14 @@ inline constexpr Tag kFastpathTag = 0xFFFFFFFFu;
 /// never touch the shared MPMC free list.
 inline constexpr std::size_t kPacketCacheSize = 32;
 
+/// Rendezvous-state table shards (rdv_table.hpp). One table measured ~10%
+/// slower on 16 KiB shm floods (EXPERIMENTS.md, progress-engine verdicts).
+inline constexpr std::size_t kRdvShards = 16;
+
 struct Config {
   std::size_t eager_threshold = 8192;   // max medium-message payload
   std::size_t packet_pool_size = 4096;  // send-side packet buffers
   std::size_t progress_batch = 64;      // fabric packets per progress call
-  std::size_t rdv_shards = 16;          // rendezvous-state table shards
-                                        // (rounded up to a power of two;
-                                        // 1 = single table + lock, the
-                                        // pre-sharding ablation baseline)
 };
 
 /// What completed. Mirrors LCI's request status fields.

@@ -38,6 +38,19 @@ struct CtsPayload {
   std::uint32_t recv_id;
 };
 
+/// Reads a fixed-size control payload out of a peer datagram. A short one
+/// is a protocol violation, not a truncated read: fail fast in every build.
+template <typename T>
+T from_bytes(const fabric::RxEvent& event) {
+  if (event.size < sizeof(T)) {
+    common::integrity_fail("minimpi: control payload from rank ", event.src,
+                           " is ", event.size, " bytes, expected ", sizeof(T));
+  }
+  T value{};
+  std::memcpy(&value, event.payload.data(), sizeof(T));
+  return value;
+}
+
 std::uint64_t make_imm(MsgKind kind, Tag tag, std::uint32_t arg) {
   return (static_cast<std::uint64_t>(kind) << 56) |
          (static_cast<std::uint64_t>(tag & (kTagUpperBound - 1)) << 32) |
@@ -315,9 +328,7 @@ void Comm::handle_event(fabric::RxEvent&& event) {
       msg.tag = imm_tag(event.imm);
       msg.is_rts = (kind == MsgKind::kRts);
       if (msg.is_rts) {
-        RtsPayload rts;
-        assert(event.size >= sizeof(rts));
-        std::memcpy(&rts, event.payload.data(), sizeof(rts));
+        const auto rts = from_bytes<RtsPayload>(event);
         msg.rdv_size = rts.size;
         msg.rdv_sender_id = rts.sender_id;
         msg.rdv_crc = rts.crc;
@@ -343,9 +354,7 @@ void Comm::handle_event(fabric::RxEvent&& event) {
       break;
     }
     case MsgKind::kCts: {
-      CtsPayload cts;
-      assert(event.size >= sizeof(cts));
-      std::memcpy(&cts, event.payload.data(), sizeof(cts));
+      const auto cts = from_bytes<CtsPayload>(event);
       std::shared_ptr<detail::ReqState> req;
       const std::byte* data = nullptr;
       std::size_t len = 0;

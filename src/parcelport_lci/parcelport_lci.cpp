@@ -14,7 +14,7 @@
 namespace pplci {
 
 namespace {
-minilci::Config make_device_config(const amt::ParcelportContext& context) {
+minilci::Config make_device_config() {
   // The LCI eager threshold stays at its default; the header message must
   // fit in one medium message, so the header cap below accounts for both.
   minilci::Config config;
@@ -25,12 +25,6 @@ minilci::Config make_device_config(const amt::ParcelportContext& context) {
     const std::size_t pool =
         static_cast<std::size_t>(std::strtoul(s, nullptr, 10));
     if (pool > 0) config.packet_pool_size = pool;
-  }
-  // Rendezvous-state shard count: the "rs<N>" token, else the minilci
-  // default. rs1 collapses the sharded tables to one table + lock (the
-  // ablation baseline).
-  if (context.config.lci_rdv_shards > 0) {
-    config.rdv_shards = context.config.lci_rdv_shards;
   }
   return config;
 }
@@ -82,29 +76,22 @@ std::string pp_metric(amt::Rank rank, const char* leaf) {
 
 LciParcelport::LciParcelport(const amt::ParcelportContext& context)
     : context_(context),
+      device_config_(make_device_config()),
       protocol_(context.config.protocol),
       progress_type_(context.config.progress),
       completion_type_(context.config.completion),
       max_header_size_(std::min(
           std::max(context.zero_copy_threshold, sizeof(amt::WireHeader)),
-          make_device_config(context).eager_threshold)),
-      pipeline_depth_(context.config.lci_pipeline_depth),
-      progress_threads_(
-          static_cast<int>(context.config.lci_progress_threads)),
-      fastpath_cap_(resolve_fastpath_cap(
-          context.config, make_device_config(context).eager_threshold)),
-      agg_cap_(resolve_agg_cap(context.config,
-                               make_device_config(context).eager_threshold)),
-      device_(*context.fabric, context.rank, make_device_config(context),
-              &remote_put_cq_),
-      progress_tickets_(progress_threads_),
+          device_config_.eager_threshold)),
+      fastpath_cap_(resolve_fastpath_cap(context.config,
+                                         device_config_.eager_threshold)),
+      agg_cap_(resolve_agg_cap(context.config, device_config_.eager_threshold)),
+      device_(*context.fabric, context.rank, device_config_, &remote_put_cq_),
       progress_backoff_(context.num_workers + 1),
       header_seq_tx_(context.fabric->num_ranks()),
       header_seq_rx_(context.fabric->num_ranks()),
       ctr_delivered_(context.fabric->telemetry().counter(
           pp_metric(context.rank, "messages_delivered"))),
-      ctr_progress_skips_(context.fabric->telemetry().counter(
-          pp_metric(context.rank, "progress_skips"))),
       ctr_send_retries_(context.fabric->telemetry().counter(
           pp_metric(context.rank, "send_retries"))),
       ctr_conn_reuses_(context.fabric->telemetry().counter(
@@ -295,7 +282,7 @@ std::optional<minilci::PacketBuffer> LciParcelport::wait_for_packet(
     if (auto packet = device_.try_alloc_packet()) return packet;
     if (round == max_rounds) return std::nullopt;
     if (progress_type_ == amt::ParcelportConfig::ProgressType::kWorker) {
-      try_progress();
+      device_.progress();
     }
     ctr_send_retries_.add();
     const unsigned shift = std::min(round, kCapShift);
@@ -409,6 +396,8 @@ void LciParcelport::send(amt::Rank dst, amt::OutMessage msg,
   connection->remaining.store(2 + connection->pieces.size(),
                               std::memory_order_relaxed);
 
+  const auto ctx =
+      reinterpret_cast<std::uint64_t>(static_cast<Connection*>(connection));
   inject_packet(
       dst, kHeaderTag,
       [connection, &plan](std::uint32_t seq, std::byte* out,
@@ -416,45 +405,24 @@ void LciParcelport::send(amt::Rank dst, amt::OutMessage msg,
         return amt::encode_header_to(connection->msg, plan,
                                      connection->tag_base, seq, out, cap);
       },
-      kUnboundedAllocRounds, make_comp(),
-      reinterpret_cast<std::uint64_t>(static_cast<Connection*>(connection)));
+      kUnboundedAllocRounds, make_comp(), ctx);
 
-  // Seed the pipeline: with depth d, the header plus d-1 pieces may be in
-  // flight at once (each completion then posts one replacement, so depth 1
-  // reproduces the old serialized walk). Unbounded: post everything now.
-  const std::size_t seed =
-      pipeline_depth_ == 0
-          ? connection->pieces.size()
-          : std::min(pipeline_depth_ - 1, connection->pieces.size());
-  for (std::size_t i = 0; i < seed; ++i) {
-    if (!connection->post_one(*this)) break;
+  // Post every follow-up piece now, each on its own tag: they complete in
+  // any order and the receiver routes them by tag.
+  for (std::size_t i = 0; i < connection->pieces.size(); ++i) {
+    const auto [data, size] = connection->pieces[i];
+    const std::uint32_t tag =
+        connection->tag_base + static_cast<std::uint32_t>(i);
+    gauge_pieces_in_flight_.add();
+    if (size <= device_.max_medium_size()) {
+      device_.sendm(dst, tag, data, size, make_comp(), ctx);
+    } else {
+      device_.sendl(dst, tag, data, size, make_comp(), ctx);
+    }
   }
   // Drop the send() guard; from here the completion chain owns the
   // connection (and may already be recycling it on another thread).
   connection->drop_ref(*this);
-}
-
-bool LciParcelport::SenderConnection::post_one(LciParcelport& port) {
-  std::size_t index = next_piece.load(std::memory_order_relaxed);
-  for (;;) {
-    if (index >= pieces.size()) return false;
-    if (next_piece.compare_exchange_weak(index, index + 1,
-                                         std::memory_order_relaxed)) {
-      break;
-    }
-  }
-  const auto [data, size] = pieces[index];
-  const std::uint32_t tag = tag_base + static_cast<std::uint32_t>(index);
-  const minilci::Comp comp = port.make_comp();
-  const auto ctx =
-      reinterpret_cast<std::uint64_t>(static_cast<Connection*>(this));
-  port.gauge_pieces_in_flight_.add();
-  if (size <= port.device_.max_medium_size()) {
-    port.device_.sendm(dst, tag, data, size, comp, ctx);
-  } else {
-    port.device_.sendl(dst, tag, data, size, comp, ctx);
-  }
-  return true;
 }
 
 void LciParcelport::SenderConnection::on_completion(
@@ -464,9 +432,6 @@ void LciParcelport::SenderConnection::on_completion(
   const bool is_piece = entry.op != minilci::OpKind::kPutDyn &&
                         entry.tag != LciParcelport::kHeaderTag;
   if (is_piece) port.gauge_pieces_in_flight_.sub();
-  // Keep the pipeline at its depth: every completion posts one replacement
-  // piece (a no-op once all pieces are claimed).
-  post_one(port);
   drop_ref(port);
 }
 
@@ -485,7 +450,6 @@ void LciParcelport::SenderConnection::reset() {
   tchunk_buf.clear();  // capacity survives for the next use
   pieces.clear();
   tag_base = 0;
-  next_piece.store(0, std::memory_order_relaxed);
   remaining.store(0, std::memory_order_relaxed);
 }
 
@@ -625,7 +589,7 @@ void LciParcelport::check_seq(amt::Rank src, std::uint32_t seq, bool frame) {
 
 void LciParcelport::frame_handler(minilci::CqEntry&& entry, void* arg) {
   // Runs in progress context (the pinned progress thread, or whichever
-  // worker won the progress ticket). decode_frame verifies the frame and
+  // worker called progress). decode_frame verifies the frame and
   // fail-fasts on corruption, exactly like the header path; one seq check
   // covers every parcel in it. Each parcel then dispatches through the
   // normal delivery path, so the destination handler returns its admission
@@ -764,28 +728,6 @@ bool LciParcelport::poll_synchronizers(unsigned worker_index) {
   return did_work;
 }
 
-std::size_t LciParcelport::try_progress(bool* ran) {
-  if (progress_threads_ == 0) {
-    if (ran != nullptr) *ran = true;
-    return device_.progress();
-  }
-  int available = progress_tickets_.load(std::memory_order_relaxed);
-  while (available > 0) {
-    if (progress_tickets_.compare_exchange_weak(available, available - 1,
-                                                std::memory_order_acquire,
-                                                std::memory_order_relaxed)) {
-      const std::size_t processed = device_.progress();
-      progress_tickets_.fetch_add(1, std::memory_order_release);
-      if (ran != nullptr) *ran = true;
-      return processed;
-    }
-  }
-  // All tickets taken: K threads are already on the NIC; skip cheaply.
-  ctr_progress_skips_.add();
-  if (ran != nullptr) *ran = false;
-  return 0;
-}
-
 bool LciParcelport::background_work(unsigned worker_index) {
   if (!started_.load(std::memory_order_relaxed)) return false;
   bool did_work = false;
@@ -796,18 +738,14 @@ bool LciParcelport::background_work(unsigned worker_index) {
             .value;
     if (backoff.defer > 0 && device_.looks_idle()) {
       --backoff.defer;  // stay off the shared progress path while idle
+    } else if (device_.progress() > 0) {
+      backoff.level = 0;
+      backoff.defer = 0;
+      did_work = true;
     } else {
-      bool ran = false;
-      const std::size_t processed = try_progress(&ran);
-      if (processed > 0) {
-        backoff.level = 0;
-        backoff.defer = 0;
-        did_work = true;
-      } else if (ran) {
-        // An empty poll: back off exponentially (1, 3, 7, ... 63 skips).
-        backoff.level = std::min(backoff.level + 1, 6u);
-        backoff.defer = (1u << backoff.level) - 1;
-      }
+      // An empty poll: back off exponentially (1, 3, 7, ... 63 skips).
+      backoff.level = std::min(backoff.level + 1, 6u);
+      backoff.defer = (1u << backoff.level) - 1;
     }
   }
   if (protocol_ == amt::ParcelportConfig::Protocol::kPutSendRecv) {

@@ -8,11 +8,10 @@
 // each with a *distinct* tag from an atomic counter (LCI gives no in-order
 // delivery, so one tag per connection would mis-match).
 //
-// Follow-ups are *pipelined*: the sender posts every piece eagerly (bounded
-// by the configurable pipeline depth; depth 1 reproduces the serialized
-// one-op-per-connection behaviour), and the receiver pre-posts every recv as
-// soon as the header — and, for zero-copy chunk sizes, the transmission
-// chunk — is decoded. Completions may land in any order, so connections
+// Follow-ups are *pipelined*: the sender posts every piece in send(), right
+// after the header, and the receiver pre-posts every recv as soon as the
+// header — and, for zero-copy chunk sizes, the transmission chunk — is
+// decoded. Completions may land in any order, so connections
 // track an atomic remaining-count and route each completion to its piece
 // slot by tag instead of walking stages. Completions land in one completion
 // queue; worker background work polls that queue plus the remote-put queue.
@@ -36,8 +35,6 @@
 //                             CQ — the only mechanism LCI's put supports),
 //   * send-immediate `_i`   — handled above this layer (parcel queue and
 //                             connection cache bypass in amt::Locality),
-//   * pipeline   pd<N>      — follow-up pipeline depth (pdinf/absent =
-//                             unbounded),
 //   * fast path  fp/fpoff   — small-parcel put-with-completion (below),
 //   * aggregation agg<N>/aggt<U>/aggoff — adaptive per-destination
 //                             coalescing of small parcels (below).
@@ -107,8 +104,6 @@ class LciParcelport final : public amt::Parcelport {
   static constexpr minilci::Tag kHeaderTag = 0;  // sr-protocol headers
 
   std::uint64_t messages_delivered() const { return ctr_delivered_.value(); }
-  /// Effective follow-up pipeline depth (0 = unbounded).
-  std::size_t pipeline_depth() const { return pipeline_depth_; }
   /// Effective one-parcel frame-size cap in bytes (0 = fast path off).
   std::size_t fastpath_cap() const { return fastpath_cap_; }
   /// Effective batched frame byte cap (0 = aggregation off).
@@ -143,15 +138,11 @@ class LciParcelport final : public amt::Parcelport {
     std::vector<std::byte> tchunk_buf;
     std::vector<std::pair<const std::byte*, std::size_t>> pieces;
     std::uint32_t tag_base = 0;
-    std::atomic<std::size_t> next_piece{0};  // next unclaimed piece index
-    // Live references: one per posted-or-claimed operation (header + every
-    // piece) plus one guard held by send() while it still touches the
-    // connection. Whoever drops the count to zero finishes and recycles.
+    // Live references: one per posted operation (header + every piece) plus
+    // one guard held by send() while it still touches the connection.
+    // Whoever drops the count to zero finishes and recycles.
     std::atomic<std::size_t> remaining{0};
 
-    /// Claims and posts the next unposted piece. Returns false when every
-    /// piece is already claimed.
-    bool post_one(LciParcelport& port);
     void on_completion(LciParcelport& port,
                        minilci::CqEntry&& entry) override;
     void drop_ref(LciParcelport& port);
@@ -229,11 +220,6 @@ class LciParcelport final : public amt::Parcelport {
   bool poll_completions();
   bool poll_remote_puts();
   bool poll_synchronizers(unsigned worker_index);
-  /// Ticket-bounded Device::progress(): at most `progress_threads_` callers
-  /// poll the NIC concurrently; losers skip cheaply (counted under
-  /// pplci/*/progress_skips). Returns the packets processed, or 0 on a
-  /// skip (`*ran` reports which).
-  std::size_t try_progress(bool* ran = nullptr);
   /// Posts one follow-up receive (medium or long, by size) for `piece`.
   void post_recv_piece(ReceiverConnection* connection, std::size_t piece,
                        std::size_t size, std::vector<std::byte>& buf);
@@ -244,21 +230,17 @@ class LciParcelport final : public amt::Parcelport {
   void progress_thread_loop();
 
   const amt::ParcelportContext context_;
+  const minilci::Config device_config_;  // read by the members below
   const amt::ParcelportConfig::Protocol protocol_;
   const amt::ParcelportConfig::ProgressType progress_type_;
   const amt::ParcelportConfig::CompType completion_type_;
   const std::size_t max_header_size_;
-  const std::size_t pipeline_depth_;  // 0 = unbounded
-  const int progress_threads_;        // ticket bound; 0 = unbounded
   const std::size_t fastpath_cap_;    // one-parcel frame byte cap; 0 = off
   const std::size_t agg_cap_;         // batched frame byte cap; 0 = agg off
 
   minilci::CompQueue remote_put_cq_;  // pre-configured remote CQ for puts
   minilci::Device device_;
   minilci::CompQueue comp_cq_;        // cq mode: all op completions
-
-  // Progress tickets (mt mode): a counting try-lock over Device::progress.
-  std::atomic<int> progress_tickets_;
 
   // Per-worker adaptive idle backoff: a worker whose progress calls keep
   // coming back empty skips (2^level - 1) subsequent background progress
@@ -325,7 +307,6 @@ class LciParcelport final : public amt::Parcelport {
   // histogram measures send() entry (for aggregated parcels, their enqueue
   // inside send()) to done-callback firing, for telemetry::sampled() parcels.
   telemetry::Counter& ctr_delivered_;
-  telemetry::Counter& ctr_progress_skips_;  // ticket-layer progress skips
   telemetry::Counter& ctr_send_retries_;  // packet-wait backoff rounds
   telemetry::Counter& ctr_conn_reuses_;   // connections served by the pools
   telemetry::Counter& ctr_conn_allocs_;   // connections newly heap-allocated

@@ -136,9 +136,9 @@ void MpiParcelport::send(amt::Rank dst, amt::OutMessage msg,
 
 bool MpiParcelport::SenderConnection::advance(MpiParcelport& port) {
   if (current.valid() && !port.comm_.test(current)) return false;
-  if (next_piece < pieces.size()) {
-    const auto [data, size] = pieces[next_piece];
-    ++next_piece;
+  if (pieces_posted < pieces.size()) {
+    const auto [data, size] = pieces[pieces_posted];
+    ++pieces_posted;
     current = port.comm_.isend(data, size, dst, tag);
     return false;
   }

@@ -69,7 +69,7 @@ class MpiParcelport final : public amt::Parcelport {
     // Follow-up payload views, in wire order (buffers owned by msg /
     // tchunk_buf and kept alive until completion).
     std::vector<std::pair<const std::byte*, std::size_t>> pieces;
-    std::size_t next_piece = 0;
+    std::size_t pieces_posted = 0;
     minimpi::Request current;
 
     bool advance(MpiParcelport& port) override;

@@ -705,25 +705,21 @@ TEST(ParcelportConfigTest, ParsesPaperNames) {
             "lci_psr_cq_pin_i");
 }
 
-TEST(ParcelportConfigTest, PipelineDepthToken) {
-  using amt::ParcelportConfig;
-  const auto bounded = ParcelportConfig::parse("lci_psr_cq_pin_pd4_i");
-  EXPECT_EQ(bounded.lci_pipeline_depth, 4u);
-  EXPECT_TRUE(bounded.send_immediate);
-  EXPECT_EQ(bounded.name(), "lci_psr_cq_pin_pd4_i");
-
-  // Unbounded is the default and stays out of the canonical name; pdinf is
-  // an accepted explicit spelling.
-  EXPECT_EQ(ParcelportConfig::parse("lci_psr_cq_pin").lci_pipeline_depth, 0u);
-  EXPECT_EQ(ParcelportConfig::parse("lci_psr_cq_pin_pdinf").name(),
-            "lci_psr_cq_pin");
-
-  EXPECT_EQ(ParcelportConfig::parse("lci_sr_sy_mt_pd16").name(),
-            "lci_sr_sy_mt_pd16");
-  EXPECT_THROW(ParcelportConfig::parse("lci_psr_cq_pin_pd0"),
-               std::invalid_argument);
-  EXPECT_THROW(ParcelportConfig::parse("lci_psr_cq_pin_pdx"),
-               std::invalid_argument);
+TEST(ParcelportConfigTest, RemovedEngineTokensRejected) {
+  // The follow-up pipeline depth (pd), progress tickets (pt) and rendezvous
+  // shards (rs) are not configurable: every piece is posted at once, every
+  // caller polls the device, and there is one rendezvous table.
+  for (const char* token : {"pd4", "pdinf", "pt2", "ptinf", "rs1"}) {
+    try {
+      amt::ParcelportConfig::parse(std::string("lci_psr_cq_pin_") + token);
+      ADD_FAILURE() << token << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what())
+                    .find("unknown parcelport config token"),
+                std::string::npos)
+          << token << ": " << error.what();
+    }
+  }
 }
 
 TEST(ParcelportConfigTest, AblationNames) {

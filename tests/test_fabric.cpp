@@ -598,6 +598,20 @@ TEST(ReliableEndpoint, DropsCorruptDatagramsAndRecovers) {
   EXPECT_GT(snap.counter("reliable/test1/crc_dropped"), 0u);
 }
 
+TEST(ReliableEndpoint, RefusesOversizedDatagramWithoutWrapping) {
+  fabric::Config config = chaos_config(2);
+  config.faults.integrity = true;
+  Fabric fabric(config);
+  fabric::ReliableEndpoint tx(fabric, 0, "test");
+  ASSERT_TRUE(tx.enabled());
+  // SIZE_MAX - 4 plus the 8-byte trailer wraps to a tiny wire size; the
+  // bound must refuse it before anything is copied or posted.
+  std::uint64_t value = 11;
+  EXPECT_EQ(tx.send(1, &value, SIZE_MAX - 4, 11), common::Status::kError);
+  EXPECT_EQ(fabric.nic(0).stats().packets_sent, 0u);
+  EXPECT_EQ(tx.pending(), 0u);
+}
+
 TEST(ReliableEndpoint, PassthroughWhenFaultsOff) {
   Fabric fabric(chaos_config(2));
   fabric::ReliableEndpoint tx(fabric, 0, "test");

@@ -665,8 +665,8 @@ TEST(LciIdTable, ShardCountRoundsUpToPowerOfTwo) {
 }
 
 TEST(LciIdTable, SingleShardSurvivesGrowthAndTombstoneChurn) {
-  // One shard (the rs1 ablation baseline) with a working set that forces
-  // both capacity growth and same-capacity tombstone sweeps.
+  // One shard with a working set that forces both capacity growth and
+  // same-capacity tombstone sweeps.
   minilci::ShardedIdTable<std::vector<int>> table(1);
   std::deque<std::pair<std::uint32_t, int>> live;
   int next = 0;
@@ -772,15 +772,11 @@ TEST(LciSynchronizer, FallbackThresholdKeepsCapacityAcrossReuse) {
 // ---------------- rendezvous-path stress (sharded tables, deferred lanes,
 // ---------------- lock-free synchronizers with threshold>1 reuse)
 
-class LciRendezvousStress : public ::testing::TestWithParam<int> {};
-
-TEST_P(LciRendezvousStress, EightThreadSendlRecvlSynchronizerChurn) {
+TEST(LciRendezvousStress, EightThreadSendlRecvlSynchronizerChurn) {
   fabric::Config fab = fabric::Profile::loopback(2);
   fab.num_rails = 4;
   fab.tx_window = 8;  // starve TX so writes defer through the per-dst lanes
-  Config lci;
-  lci.rdv_shards = static_cast<std::size_t>(GetParam());
-  Pair pair(fab, lci);
+  Pair pair(fab);
 
   constexpr int kThreads = 8;
   constexpr int kIters = 40;
@@ -855,9 +851,6 @@ TEST_P(LciRendezvousStress, EightThreadSendlRecvlSynchronizerChurn) {
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
 }
-
-// 1 shard = the pre-sharding global-table baseline; 16 = the default.
-INSTANTIATE_TEST_SUITE_P(Shards, LciRendezvousStress, ::testing::Values(1, 16));
 
 // ---------------- magazine thread-exit accounting ----------------
 

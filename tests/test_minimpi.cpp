@@ -289,3 +289,40 @@ TEST(MiniMpi, TxWindowBackpressureIsAbsorbed) {
   for (auto& request : sreqs) ASSERT_TRUE(wait_req(world, request));
   for (std::uint32_t i = 0; i < kCount; ++i) EXPECT_EQ(recv[i], i);
 }
+
+namespace {
+
+// A peer's control datagram shorter than its payload struct must abort in
+// every build type rather than be over-read. The wire immediate is
+// [63:56] message kind | [55:32] tag | [31:0] seq or rendezvous id.
+void post_short_control(World& world, std::uint64_t kind) {
+  const std::uint32_t short_payload = 64;
+  ASSERT_EQ(world.fabric().nic(0).post_send(1, &short_payload,
+                                            sizeof(short_payload),
+                                            (kind << 56) | 1),
+            common::Status::kOk);
+}
+
+}  // namespace
+
+TEST(MinimpiDeathTest, ShortRtsPayloadAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  World world(loopback());
+  post_short_control(world, 2);  // RTS
+  EXPECT_DEATH(
+      {
+        for (int i = 0; i < 100; ++i) world.comm(1).progress();
+      },
+      "INTEGRITY FAILURE.*control payload");
+}
+
+TEST(MinimpiDeathTest, ShortCtsPayloadAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  World world(loopback());
+  post_short_control(world, 3);  // CTS
+  EXPECT_DEATH(
+      {
+        for (int i = 0; i < 100; ++i) world.comm(1).progress();
+      },
+      "INTEGRITY FAILURE.*control payload");
+}

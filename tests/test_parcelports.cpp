@@ -480,8 +480,7 @@ std::vector<std::uint64_t> make_chunk(std::size_t n, std::uint64_t seed) {
 // Multi-zchunk parcels over a 4-rail fabric: the sender posts every piece
 // eagerly, rails deliver them out of order, and the receiver must route each
 // completion to the right buffer slot by tag. Covers all 8 LCI variant
-// combinations plus pipeline-depth regression configs (pd1 = the old
-// serialized walk must still work and stay reachable).
+// combinations.
 class LciPipelineE2E : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(LciPipelineE2E, MultiZchunkIntegrityAcrossReorderingFabric) {
@@ -520,11 +519,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllLciVariants, LciPipelineE2E,
     ::testing::Values("lci_psr_cq_pin", "lci_psr_cq_mt", "lci_psr_sy_pin",
                       "lci_psr_sy_mt", "lci_sr_cq_pin", "lci_sr_cq_mt",
-                      "lci_sr_sy_pin", "lci_sr_sy_mt",
-                      // regression: bounded depths, incl. the old serialized
-                      // behaviour (depth 1)
-                      "lci_psr_cq_pin_pd1_i", "lci_sr_sy_mt_pd1",
-                      "lci_psr_cq_mt_pd4_i"),
+                      "lci_sr_sy_pin", "lci_sr_sy_mt"),
     [](const ::testing::TestParamInfo<const char*>& info) {
       return std::string(info.param);
     });
