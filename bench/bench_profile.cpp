@@ -110,7 +110,6 @@ void profile_config(const char* name, std::size_t msg_size, std::size_t total,
   print_hist(snap, "serialize", "amt/loc0/serialize_ns", 1e-3, "us");
   print_hist(snap, "parcelport send", "pplci/loc0/send_ns", 1e-3, "us");
   print_hist(snap, "parcelport send", "ppmpi/loc0/send_ns", 1e-3, "us");
-  print_hist(snap, "parcelport send", "pptcp/loc0/send_ns", 1e-3, "us");
   print_hist(snap, "lci progress", "minilci/dev0/progress_ns", 1e-3, "us");
   // The paper §4 smoking gun: time workers spend waiting to acquire the
   // MPI big lock before every MPI call (coarse lock mode only).
@@ -145,12 +144,12 @@ int main() {
   const auto total8 = static_cast<std::size_t>(4000 * env.scale);
   std::printf("== 16KiB x %zu ==\n", total16);
   for (const char* name :
-       {"mpi", "mpi_i", "lci_psr_cq_pin", "lci_psr_cq_pin_i", "tcp_i"}) {
+       {"mpi", "mpi_i", "lci_psr_cq_pin", "lci_psr_cq_pin_i"}) {
     profile_config(name, 16 * 1024, total16, env.workers);
   }
   std::printf("== 8B x %zu ==\n", total8);
   for (const char* name :
-       {"mpi", "mpi_i", "lci_psr_cq_pin", "lci_psr_cq_pin_i", "tcp_i"}) {
+       {"mpi", "mpi_i", "lci_psr_cq_pin", "lci_psr_cq_pin_i"}) {
     profile_config(name, 8, total8, env.workers);
   }
 

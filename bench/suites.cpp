@@ -996,30 +996,6 @@ SuiteSpec openloop() {
   return s;
 }
 
-SuiteSpec extra_tcp_comparison() {
-  SuiteSpec s;
-  s.name = "extra_tcp_comparison";
-  s.figure = "§1 extra";
-  s.title = "TCP parcelport vs MPI vs LCI";
-  s.expectation =
-      "tcp trails both on message rate (every message funnels through one "
-      "ordered stream) and degrades worst as the window grows "
-      "(head-of-line blocking)";
-  for (const char* config : {"tcp_i", "mpi_i", "lci_psr_cq_pin_i"}) {
-    s.points.push_back(rate_point(config, 8, 100, k8bFloodMsgs, 0.0));
-  }
-  for (const char* config : {"tcp_i", "mpi_i", "lci_psr_cq_pin_i"}) {
-    for (unsigned window : {1u, 8u, 32u}) {
-      s.points.push_back(
-          latency_point(config, 16 * 1024, window, kLatencySteps16k));
-    }
-  }
-  for (const char* config : {"tcp_i", "mpi_i", "lci_psr_cq_pin_i"}) {
-    s.points.push_back(octo_point(config, "expanse", 4, 3));
-  }
-  return s;
-}
-
 /// docs/collectives.md view: per (op, payload, localities), the speedup of
 /// each log-depth algorithm over the centralised root-gather baseline, plus
 /// the geomean of the tree/rd wins at >= 8 localities (the claim the docs
@@ -1284,7 +1260,6 @@ void register_all() {
     registry.add(ablation_progress());
     registry.add(ablation_fastpath());
     registry.add(openloop());
-    registry.add(extra_tcp_comparison());
     registry.add(ablation_collectives());
     registry.add(ablation_backend());
     registry.add(fft());

@@ -48,9 +48,6 @@ ParcelportConfig ParcelportConfig::parse(const std::string& name) {
     } else if (token == "lci") {
       config.kind = Kind::kLci;
       kind_seen = true;
-    } else if (token == "tcp") {
-      config.kind = Kind::kTcp;
-      kind_seen = true;
     } else if (token == "psr") {
       config.protocol = Protocol::kPutSendRecv;
     } else if (token == "sr") {
@@ -130,7 +127,7 @@ ParcelportConfig ParcelportConfig::parse(const std::string& name) {
   }
   if (!kind_seen) {
     throw std::invalid_argument(
-        "parcelport config must name mpi, lci, or tcp: " + name);
+        "parcelport config must name mpi or lci: " + name);
   }
   return config;
 }
@@ -141,8 +138,6 @@ std::string ParcelportConfig::name() const {
     out = "mpi";
     if (!mpi_coarse_lock) out += "_fine";
     if (mpi_original) out += "_orig";
-  } else if (kind == Kind::kTcp) {
-    out = "tcp";
   } else {
     out = "lci";
     out += (protocol == Protocol::kPutSendRecv) ? "_psr" : "_sr";

@@ -44,10 +44,9 @@ struct AdmissionConfig {
 void apply_admission_env(AdmissionConfig& config);
 
 /// Which backend and which design-variant knobs to use. Parsed from the
-/// paper's configuration names, e.g. "lci_psr_cq_pin_i", "mpi_i"; "tcp" is
-/// HPX's original stream backend (no variant knobs beyond "_i").
+/// paper's configuration names, e.g. "lci_psr_cq_pin_i", "mpi_i".
 struct ParcelportConfig {
-  enum class Kind { kMpi, kLci, kTcp };
+  enum class Kind { kMpi, kLci };
   /// LCI header-message protocol: one-sided dynamic put vs two-sided.
   enum class Protocol { kPutSendRecv, kSendRecv };  // psr | sr
   /// Who calls the progress function: a dedicated pinned thread or all

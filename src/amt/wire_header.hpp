@@ -443,7 +443,7 @@ struct DecodedHeader {
 /// mismatch, truncated buffer, size fields pointing past the end — means
 /// corrupted wire data reached the decode stage (past all retransmit
 /// protection), so this fail-fasts with a diagnostic dump instead of
-/// returning garbage. All three parcelports decode through here.
+/// returning garbage. Both parcelports decode through here.
 inline DecodedHeader decode_header(const std::byte* data, std::size_t size) {
   DecodedHeader decoded;
   if (size < sizeof(WireHeader)) {

@@ -193,7 +193,7 @@ const std::vector<Knob>& knob_registry() {
        "bit-for-bit reproducible per seed)",
        "test_loadgen"},
       // -- parcelport config-name tokens (Table 1 + ablations) --
-      {Kind::kConfigToken, "mpi | lci | tcp", "lci",
+      {Kind::kConfigToken, "mpi | lci", "lci",
        "backend selection prefix of the configuration name",
        "fig1_msgrate_8b"},
       {Kind::kConfigToken, "psr | sr", "psr",

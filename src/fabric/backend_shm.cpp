@@ -149,7 +149,7 @@ ShmDomain::ShmDomain(const Config& config) : config_(config) {
 ShmDomain::~ShmDomain() {
   auto drop = [](Segment& seg) {
     if (seg.base != nullptr) ::munmap(seg.base, seg.size);
-    if (seg.created) ::shm_unlink(seg.name.c_str());
+    if (seg.linked) ::shm_unlink(seg.name.c_str());
     seg.base = nullptr;
   };
   for (auto& seg : pair_segments_) drop(seg);
@@ -169,7 +169,7 @@ ShmDomain::Segment ShmDomain::open_segment(const std::string& short_name,
   Segment seg;
   seg.name = name;
   seg.size = size;
-  seg.created = create;
+  seg.linked = create;
   int fd = -1;
   if (create) {
     fd = ::shm_open(name.c_str(), O_CREAT | O_EXCL | O_RDWR, 0600);
@@ -216,6 +216,12 @@ ShmDomain::Segment ShmDomain::open_segment(const std::string& short_name,
     throw_errno("mmap(" + name + ")");
   }
   seg.base = base;
+  if (create && config_.shm_session.empty()) {
+    // A generated session name is known only to this process, so nothing
+    // will ever attach by name: unlink now, and an abort leaks nothing.
+    ::shm_unlink(name.c_str());
+    seg.linked = false;
+  }
   return seg;
 }
 

@@ -80,8 +80,9 @@ struct ShmPairHeader {
 };
 
 /// Owns every shared segment this fabric maps: creation/attachment,
-/// rendezvous waits, the CMA capability probe, and unlink-at-exit for the
-/// segments this process created.
+/// rendezvous waits, the CMA capability probe, and unlinking the segments
+/// this process created: right after mapping for a generated session,
+/// which no other process can name, and at teardown for an explicit one.
 class ShmDomain {
  public:
   enum class PeerMode : std::uint8_t { kUnknown, kDirect, kCma, kFallback };
@@ -113,7 +114,7 @@ class ShmDomain {
     std::string name;
     void* base = nullptr;
     std::size_t size = 0;
-    bool created = false;
+    bool linked = false;  // created here and still named in /dev/shm
   };
 
   Segment open_segment(const std::string& name, std::size_t size, bool create);

@@ -1,12 +1,12 @@
 // ReliableEndpoint: a bounded retransmit-with-timeout sublayer for two-sided
-// datagrams, shared by minilci, minimpi, and ministream.
+// datagrams, shared by minilci and minimpi.
 //
 // The simulated fabric under fault injection (fabric/fault.hpp) can drop,
 // duplicate, and corrupt two-sided sends. Real RC InfiniBand hides those
 // failures below verbs with link-level CRC + go-back-N; this class plays
 // that role in software so the upper protocols keep their clean-network
-// assumptions (minimpi's in-order reorder stage and ministream's sequence
-// reassembly would otherwise hang forever on one lost datagram):
+// assumptions (minimpi's in-order reorder stage would otherwise hang
+// forever on one lost datagram):
 //
 //   * send() appends an 8-byte trailer {seq, crc32(payload, seq, imm)} and
 //     tracks the wire image until the receiver acks it.

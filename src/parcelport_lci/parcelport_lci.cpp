@@ -153,9 +153,7 @@ LciParcelport::~LciParcelport() {
   // in comp_cq_ at stop) are all in owned_.
   for (Connection* connection : owned_) delete connection;
   while (auto sync = sync_pool_.try_pop()) delete *sync;
-  for (auto& shard : sync_shards_) {
-    for (minilci::Synchronizer* sync : shard.value.pending) delete sync;
-  }
+  for (minilci::Synchronizer* sync : sync_pending_) delete sync;
 }
 
 void LciParcelport::start() {
@@ -211,10 +209,8 @@ minilci::Comp LciParcelport::make_comp() {
     ctr_sync_allocs_.add();
   }
   const minilci::Comp comp = minilci::Comp::sync(sync);
-  SyncShard& shard =
-      sync_shards_[telemetry::shard_slot() & (kSyncShards - 1)].value;
-  std::lock_guard<common::SpinMutex> guard(shard.mutex);
-  shard.pending.push_back(sync);
+  std::lock_guard<common::SpinMutex> guard(sync_pending_mutex_);
+  sync_pending_.push_back(sync);
   return comp;
 }
 
@@ -691,38 +687,29 @@ bool LciParcelport::poll_remote_puts() {
          }) > 0;
 }
 
-bool LciParcelport::poll_synchronizers(unsigned worker_index) {
-  // The sy-variant analogue of the MPI parcelport's pending-connection
-  // polling, sharded so concurrent pollers (and make_comp producers) do not
-  // round-trip one global lock. Each worker starts at its own shard and
-  // round-robins; a not-ready synchronizer sends the poller to the next
-  // shard rather than busy-retesting the same one.
+bool LciParcelport::poll_synchronizers() {
+  // The sy-variant analogue of the MPI parcelport's advance_pending: test up
+  // to 8 synchronizers from the head of the list; a not-ready one goes to
+  // the back.
   bool did_work = false;
-  int budget = 8;
-  for (std::size_t k = 0; k < kSyncShards && budget > 0; ++k) {
-    SyncShard& shard =
-        sync_shards_[(worker_index + k) & (kSyncShards - 1)].value;
-    while (budget > 0) {
-      minilci::Synchronizer* sync = nullptr;
-      {
-        std::lock_guard<common::SpinMutex> guard(shard.mutex);
-        if (shard.pending.empty()) break;
-        sync = shard.pending.front();
-        shard.pending.pop_front();
-      }
-      --budget;
-      std::vector<minilci::CqEntry> entries;
-      if (sync->test(&entries)) {
-        // test() reset the synchronizer; recycle it before dispatching so
-        // the entries' own make_comp calls can already reuse it.
-        if (!sync_pool_.try_push(sync)) delete sync;
-        for (auto& entry : entries) dispatch_entry(std::move(entry));
-        did_work = true;
-      } else {
-        std::lock_guard<common::SpinMutex> guard(shard.mutex);
-        shard.pending.push_back(sync);
-        break;  // head of this shard not ready; try the next shard
-      }
+  for (int i = 0; i < 8; ++i) {
+    minilci::Synchronizer* sync = nullptr;
+    {
+      std::lock_guard<common::SpinMutex> guard(sync_pending_mutex_);
+      if (sync_pending_.empty()) break;
+      sync = sync_pending_.front();
+      sync_pending_.pop_front();
+    }
+    std::vector<minilci::CqEntry> entries;
+    if (sync->test(&entries)) {
+      // test() reset the synchronizer; recycle it before dispatching so the
+      // entries' own make_comp calls can already reuse it.
+      if (!sync_pool_.try_push(sync)) delete sync;
+      for (auto& entry : entries) dispatch_entry(std::move(entry));
+      did_work = true;
+    } else {
+      std::lock_guard<common::SpinMutex> guard(sync_pending_mutex_);
+      sync_pending_.push_back(sync);
     }
   }
   return did_work;
@@ -754,7 +741,7 @@ bool LciParcelport::background_work(unsigned worker_index) {
   if (completion_type_ == amt::ParcelportConfig::CompType::kQueue) {
     did_work |= poll_completions();
   } else {
-    did_work |= poll_synchronizers(worker_index);
+    did_work |= poll_synchronizers();
   }
   if (aggregator_ && !aggregator_->empty()) {
     // Age trigger first; then, when this worker found nothing else to do,

@@ -30,7 +30,7 @@
 //   * progress   pin | mt   — dedicated pinned progress thread vs all worker
 //                             threads calling progress when idle,
 //   * completion cq | sy    — one completion queue vs per-operation
-//                             synchronizers on sharded pending lists
+//                             synchronizers on one pending list
 //                             (the dynamic put's remote completion stays a
 //                             CQ — the only mechanism LCI's put supports),
 //   * send-immediate `_i`   — handled above this layer (parcel queue and
@@ -69,7 +69,6 @@
 // once, at encode time.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -119,8 +118,6 @@ class LciParcelport final : public amt::Parcelport {
   // user_context values in completion entries: either a Connection* or this
   // sentinel marking an sr-protocol header receive.
   static constexpr std::uint64_t kHeaderRecvCtx = 1;
-
-  static constexpr std::size_t kSyncShards = 8;  // power of two
 
   struct Connection {
     virtual ~Connection() = default;
@@ -177,8 +174,7 @@ class LciParcelport final : public amt::Parcelport {
   };
 
   /// Builds the completion object for one operation: the shared CQ in cq
-  /// mode, or a pooled synchronizer added to a sharded pending list in sy
-  /// mode.
+  /// mode, or a pooled synchronizer added to the pending list in sy mode.
   minilci::Comp make_comp();
 
   // Connection/synchronizer freelists (paper: "zero allocation on the
@@ -219,7 +215,7 @@ class LciParcelport final : public amt::Parcelport {
   void dispatch_entry(minilci::CqEntry&& entry);
   bool poll_completions();
   bool poll_remote_puts();
-  bool poll_synchronizers(unsigned worker_index);
+  bool poll_synchronizers();
   /// Posts one follow-up receive (medium or long, by size) for `piece`.
   void post_recv_piece(ReceiverConnection* connection, std::size_t piece,
                        std::size_t size, std::vector<std::byte>& buf);
@@ -252,13 +248,10 @@ class LciParcelport final : public amt::Parcelport {
   };
   std::vector<common::CachePadded<ProgressBackoff>> progress_backoff_;
 
-  // sy mode: per-operation synchronizers on sharded pending lists, polled
-  // round-robin starting at the worker's own shard (no global lock).
-  struct SyncShard {
-    common::SpinMutex mutex;
-    std::deque<minilci::Synchronizer*> pending;
-  };
-  std::array<common::CachePadded<SyncShard>, kSyncShards> sync_shards_;
+  // sy mode: per-operation synchronizers on one pending list, polled
+  // round-robin by every worker.
+  common::SpinMutex sync_pending_mutex_;
+  std::deque<minilci::Synchronizer*> sync_pending_;
 
   // sr mode: one always-posted header receive per peer (reposted by the
   // completion handler; no state needed beyond the sentinel context).

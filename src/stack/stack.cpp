@@ -5,7 +5,6 @@
 
 #include "parcelport_lci/parcelport_lci.hpp"
 #include "parcelport_mpi/parcelport_mpi.hpp"
-#include "parcelport_tcp/parcelport_tcp.hpp"
 
 namespace amtnet {
 
@@ -17,8 +16,6 @@ amt::Runtime::ParcelportFactory default_parcelport_factory() {
         return std::make_unique<ppmpi::MpiParcelport>(context);
       case amt::ParcelportConfig::Kind::kLci:
         return std::make_unique<pplci::LciParcelport>(context);
-      case amt::ParcelportConfig::Kind::kTcp:
-        return std::make_unique<pptcp::TcpParcelport>(context);
     }
     throw std::invalid_argument("unknown parcelport kind");
   };

@@ -722,6 +722,28 @@ TEST(ParcelportConfigTest, RemovedEngineTokensRejected) {
   }
 }
 
+TEST(ParcelportConfigTest, TcpTokenRejected) {
+  // There are two parcelports, MPI and LCI; "tcp" names no backend.
+  for (const char* suffix : {"", "_i", "_backendshm"}) {
+    const std::string name = std::string("tcp") + suffix;
+    try {
+      amt::ParcelportConfig::parse(name);
+      ADD_FAILURE() << name << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_STREQ(error.what(), "unknown parcelport config token: tcp")
+          << name;
+    }
+  }
+  try {
+    amt::ParcelportConfig::parse("psr_cq");
+    ADD_FAILURE() << "a name without a backend was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("must name mpi or lci"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(ParcelportConfigTest, AblationNames) {
   using amt::ParcelportConfig;
   const auto fine = ParcelportConfig::parse("mpi_fine_i");

@@ -2,7 +2,8 @@
 // plumbing, a {sim, shm} conformance sweep over the parcelport configs the
 // main e2e suite covers (all 8 LCI variants, fastpath, aggregation, MPI),
 // one chaos row on both backends, the ring-fallback path, malformed ring
-// records that must abort, a real
+// records that must abort, no segments left behind by an aborted
+// single-process run, a real
 // fork()-based two-process ping-pong over POSIX shared memory, and thread
 // placement under a per-process CPU range (as amtnet_launch sets).
 //
@@ -11,6 +12,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -483,6 +485,42 @@ TEST(ShmRingDeathTest, WriteFragmentOffsetThatWrapsAborts) {
   rec.offset = ~std::uint64_t{0} - 7;
   EXPECT_DEATH(pair.publish_and_poll(rec), "INTEGRITY FAILURE.*overruns MR");
   pair.target().deregister_memory(key);
+}
+#endif
+
+#if defined(AMTNET_TEST_HAVE_FORK) && defined(__linux__)
+// A single-process shm fabric names its segments after a session generated
+// in this process, so nothing else can attach to them: they must already be
+// unlinked when the process aborts (an integrity_fail never reaches the
+// destructor).
+TEST(ShmSegments, AbortedSingleProcessRunLeavesNothingInDevShm) {
+  if (!fabric::shm_available() || !std::filesystem::is_directory("/dev/shm")) {
+    GTEST_SKIP() << "POSIX shared memory under /dev/shm unavailable";
+  }
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0) << "fork failed";
+  if (child == 0) {
+    ::unsetenv("AMTNET_SHM_SESSION");
+    fabric::Config config;
+    config.backend = "shm";
+    config.num_ranks = 2;
+    fabric::Fabric fabric(config);
+    std::abort();
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGABRT) << status;
+  const std::string prefix = "amtnet-" + std::to_string(child) + "-";
+  std::vector<std::string> leaked;
+  for (const auto& entry : std::filesystem::directory_iterator("/dev/shm")) {
+    const std::string name = entry.path().filename().string();
+    if (name.compare(0, prefix.size(), prefix) == 0) {
+      leaked.push_back(name);
+      ::shm_unlink(("/" + name).c_str());
+    }
+  }
+  EXPECT_TRUE(leaked.empty()) << leaked.size() << " segments leaked, e.g. "
+                              << (leaked.empty() ? "" : leaked.front());
 }
 #endif
 

@@ -232,8 +232,8 @@ INSTANTIATE_TEST_SUITE_P(
         // (and retransmits) several parcels at once, and a duplicated batch
         // must not re-dispatch any of its sub-parcels.
         "lci_psr_cq_mt_fp_agg1024_aggt100_i_block32",
-        // The MPI and TCP parcelports.
-        "mpi_i", "tcp"),
+        // The MPI parcelport.
+        "mpi_i"),
     [](const ::testing::TestParamInfo<const char*>& info) {
       return std::string(info.param);
     });

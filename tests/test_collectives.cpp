@@ -225,7 +225,7 @@ TEST_P(Collectives, ManyBackToBackRounds) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, Collectives,
                          ::testing::Values("lci_psr_cq_pin_i", "mpi_i",
-                                           "tcp_i", "lci_sr_sy_mt"),
+                                           "lci_sr_sy_mt"),
                          [](const ::testing::TestParamInfo<const char*>& i) {
                            return std::string(i.param);
                          });
