@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/buffer_cache.hpp"
 #include "common/logging.hpp"
 
 namespace amt {
@@ -272,6 +273,10 @@ void Locality::on_message(InMessage&& msg) {
   scheduler_.spawn([this, msg = std::move(msg)]() mutable {
     detail::ScopedHere scope(this);
     const std::uint32_t parcels = handle_message(msg);
+    // The consumed main chunk's capacity goes back to the cache, from which
+    // the sim backend takes its datagram vectors, instead of being freed on
+    // this thread after the sender's thread allocated it.
+    common::BufferCache::give(std::move(msg.main_chunk));
     // Credit return for the sender's admission window: a slot frees only
     // once its parcel has *executed* here, so `outstanding` spans the whole
     // serving path (sender queue, wire, destination scheduler) — send-side

@@ -34,11 +34,10 @@ KvConfig KvConfig::parse(const std::string& text) {
   for (const auto& piece : split_trim(text, ',')) {
     if (piece.empty()) continue;
     const auto eq = piece.find('=');
-    if (eq == std::string::npos) {
-      config.kv_[trim(piece)] = "1";  // bare key acts as a boolean flag
-    } else {
-      config.kv_[trim(piece.substr(0, eq))] = trim(piece.substr(eq + 1));
-    }
+    // A bare key (no '=') acts as a boolean flag.
+    std::string value =
+        eq == std::string::npos ? std::string("1") : trim(piece.substr(eq + 1));
+    config.kv_.insert_or_assign(trim(piece.substr(0, eq)), std::move(value));
   }
   return config;
 }

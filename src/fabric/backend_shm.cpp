@@ -443,31 +443,35 @@ bool ShmNic::push_now_locked(detail::ShmRing& ring, const OutRecord& rec) {
   return true;
 }
 
-void ShmNic::flush_pending(Rank dst) {
-  PeerTx& peer = *peers_[dst];
-  if (peer.pending.empty()) return;  // racy fast-out; rechecked under lock
-  std::lock_guard<common::SpinMutex> guard(peer.mutex);
-  detail::ShmRing& ring = *domain_.ring(rank_, dst);
+void ShmNic::flush_pending_locked(PeerTx& peer, detail::ShmRing& ring) {
   while (!peer.pending.empty()) {
     if (!push_now_locked(ring, peer.pending.front())) return;
     peer.pending.pop_front();
+    if (peer.pending.empty()) peer.staged.store(false);
   }
+}
+
+void ShmNic::flush_pending(Rank dst) {
+  PeerTx& peer = *peers_[dst];
+  // Fast-out without the lock; a record staged meanwhile waits for the
+  // next poll or the next push to this peer.
+  if (!peer.staged.load()) return;
+  std::lock_guard<common::SpinMutex> guard(peer.mutex);
+  flush_pending_locked(peer, *domain_.ring(rank_, dst));
 }
 
 bool ShmNic::push_record(Rank dst, OutRecord&& rec, bool stash) {
   PeerTx& peer = *peers_[dst];
   std::lock_guard<common::SpinMutex> guard(peer.mutex);
   detail::ShmRing& ring = *domain_.ring(rank_, dst);
-  while (!peer.pending.empty()) {
-    if (!push_now_locked(ring, peer.pending.front())) break;
-    peer.pending.pop_front();
-  }
+  flush_pending_locked(peer, ring);
   if (peer.pending.empty() && push_now_locked(ring, rec)) return true;
   if (stash) {
     // Committed mid-operation records queue behind whatever is already
     // staged, preserving FIFO order on the ring. Telemetry counts at actual
     // ring insertion (push_now_locked), so nothing is counted here.
     peer.pending.push_back(std::move(rec));
+    peer.staged.store(true);
     return true;
   }
   return false;

@@ -43,6 +43,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/cache.hpp"
 #include "common/spinlock.hpp"
 #include "fabric/nic.hpp"
 #include "fabric/shm_ring.hpp"
@@ -180,7 +181,11 @@ class ShmNic final : public Nic {
   /// so staged records keep FIFO order with fresh ones.
   struct PeerTx {
     common::SpinMutex mutex;
-    std::deque<OutRecord> pending;
+    std::deque<OutRecord> pending;  // guarded by `mutex`
+    /// `pending` is non-empty. Written under `mutex`, read without it by
+    /// every poll, so it sits on its own line, away from the mutex that
+    /// every send locks.
+    alignas(common::kCacheLineSize) std::atomic<bool> staged{false};
   };
 
   /// Target-side state of one in-flight fallback write (keyed by sender rank
@@ -200,6 +205,8 @@ class ShmNic final : public Nic {
   /// record in `pending` and the push always succeeds logically.
   bool push_record(Rank dst, OutRecord&& rec, bool stash);
   bool push_now_locked(detail::ShmRing& ring, const OutRecord& rec);
+  /// Pushes staged records, oldest first, until the ring is full.
+  void flush_pending_locked(PeerTx& peer, detail::ShmRing& ring);
   void flush_pending(Rank dst);
 
   void deliver_self(RxEvent&& event);

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <mutex>
 
+#include "common/buffer_cache.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "telemetry/trace.hpp"
@@ -265,6 +266,9 @@ common::Status SimNic::post_send(Rank dst, const void* data, std::size_t len,
   packet.src = rank_;
   packet.imm = imm;
   if (len > 0) {
+    // The receiver hands the payload's capacity back to the cache once it
+    // is consumed, as a NIC reposts a receive buffer.
+    packet.payload = common::BufferCache::take();
     packet.payload.assign(static_cast<const std::byte*>(data),
                           static_cast<const std::byte*>(data) + len);
   }

@@ -1,11 +1,11 @@
 // Transport-backend tests: the shm ring primitive, backend selection
 // plumbing, a {sim, shm} conformance sweep over the parcelport configs the
 // main e2e suite covers (all 8 LCI variants, fastpath, aggregation, MPI),
-// one chaos row on both backends, the ring-fallback path, malformed ring
-// records that must abort, no segments left behind by an aborted
-// single-process run, a real
-// fork()-based two-process ping-pong over POSIX shared memory, and thread
-// placement under a per-process CPU range (as amtnet_launch sets).
+// one chaos row on both backends, the ring-fallback path, records staged
+// behind a full ring, malformed ring records that must abort, no segments
+// left behind by an aborted single-process run, a real fork()-based
+// two-process ping-pong over POSIX shared memory, and thread placement
+// under a per-process CPU range (as amtnet_launch sets).
 //
 // Every shm case skips gracefully on platforms without POSIX shm.
 #include <gtest/gtest.h>
@@ -597,6 +597,69 @@ TEST(ShmFallback, WriteImmSurfacesOnlyAfterAllFragmentsUnderConcurrentPolls) {
   EXPECT_EQ(writer.stats().packets_sent, target.stats().packets_received);
   target.deregister_memory(key);
   ::unsetenv("AMTNET_SHM_FORCE_FALLBACK");
+}
+
+TEST(ShmStaging, NoticesStagedBehindAFullRingFlushWhileAnotherThreadPolls) {
+  // Write notices staged behind a full ring while another thread polls the
+  // sender: that poll flushes staged records, so it reads the staging state
+  // while this thread stages more (run under TSan). Staged notices keep
+  // FIFO order behind the eager records that filled the ring.
+  if (!fabric::shm_available()) {
+    GTEST_SKIP() << "POSIX shared memory unavailable on this platform";
+  }
+  fabric::Config config;
+  config.backend = "shm";
+  config.num_ranks = 2;
+  config.shm_ring_depth = 4;
+  fabric::Fabric fab(config);
+  fabric::Nic& sender = fab.nic(0);
+  fabric::Nic& receiver = fab.nic(1);
+
+  std::vector<std::byte> region(64, std::byte{0});
+  const std::vector<std::byte> src(8, std::byte{7});
+  const fabric::MrKey key =
+      receiver.register_memory(region.data(), region.size());
+
+  std::atomic<bool> stop{false};
+  std::thread poller([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      sender.poll_rx(8, [](fabric::RxEvent&&) {});
+    }
+  });
+
+  constexpr int kRounds = 200;
+  constexpr int kNotices = 3;
+  int eager_sent = 0;
+  int eager_seen = 0;
+  int notices_seen = 0;
+  int early_notices = 0;
+  auto sink = [&](fabric::RxEvent&& event) {
+    if (event.kind == fabric::RxEvent::Kind::kWriteImm) {
+      if (eager_seen != eager_sent) ++early_notices;
+      ++notices_seen;
+    } else {
+      ++eager_seen;
+    }
+  };
+  const std::byte byte{1};
+  for (int round = 1; round <= kRounds; ++round) {
+    while (sender.post_send(1, &byte, 1, 0) == common::Status::kOk) {
+      ++eager_sent;
+    }
+    for (int k = 0; k < kNotices; ++k) {
+      ASSERT_EQ(sender.post_write_imm(1, key, 0, src.data(), src.size(), k),
+                common::Status::kOk);
+    }
+    while (notices_seen < round * kNotices) receiver.poll_rx(8, sink);
+  }
+  stop.store(true);
+  poller.join();
+
+  EXPECT_EQ(eager_seen, eager_sent);
+  EXPECT_EQ(notices_seen, kRounds * kNotices);
+  EXPECT_EQ(early_notices, 0);
+  EXPECT_GT(sender.stats().sends_rejected_tx_window, 0u);
+  receiver.deregister_memory(key);
 }
 
 // ---------------- real two-process ping-pong ----------------

@@ -1,5 +1,6 @@
 // Unit tests for src/common: config parsing, RNG determinism, spin locks,
-// clock, and cache-padding invariants.
+// clock, cache-padding invariants, the inline-storage callable and the
+// recycled wire-buffer cache.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 
 #include "alloc_counter.hpp"
 #include "common/affinity.hpp"
+#include "common/buffer_cache.hpp"
 #include "common/cache.hpp"
 #include "common/clock.hpp"
 #include "common/config.hpp"
@@ -354,6 +356,140 @@ TYPED_TEST(UniqueFunctionLifetime, EachCallableIsDestroyedExactlyOnce) {
   }
   EXPECT_EQ(released, 2) << "destruction releases the survivor once";
   EXPECT_EQ(live, 0) << "a moved-from callable leaked or was destroyed twice";
+}
+
+// ---------------- BufferCache ----------------
+//
+// The cache is process-wide, so each case starts by draining the shared
+// stack and does its gives and takes on threads of its own: a fresh thread
+// starts with an empty local stack, and its spares reach the shared stack
+// when it exits.
+
+namespace {
+
+using common::BufferCache;
+
+template <typename Body>
+void on_fresh_thread(Body&& body) {
+  std::thread thread(std::forward<Body>(body));
+  thread.join();
+}
+
+BufferCache::Buffer with_capacity(std::size_t capacity) {
+  BufferCache::Buffer buffer;
+  buffer.reserve(capacity);
+  return buffer;
+}
+
+/// Takes every spare the shared stack holds; returns their capacities.
+std::vector<std::size_t> drain_shared() {
+  std::vector<std::size_t> capacities;
+  on_fresh_thread([&] {
+    for (;;) {
+      const BufferCache::Buffer buffer = BufferCache::take();
+      if (buffer.capacity() == 0) break;
+      capacities.push_back(buffer.capacity());
+    }
+  });
+  return capacities;
+}
+
+}  // namespace
+
+TEST(BufferCache, GivenOnOneThreadTakenOnAnotherWithoutAllocating) {
+  drain_shared();
+  constexpr std::size_t kCapacity = 200;
+  on_fresh_thread([] {
+    BufferCache::Buffer buffer = with_capacity(kCapacity);
+    buffer.assign(kCapacity, std::byte{1});
+    BufferCache::give(std::move(buffer));
+  });
+  std::size_t capacity = 0;
+  bool came_back_empty = false;
+  std::uint64_t allocs = ~0ull;
+  on_fresh_thread([&] {
+    allocs = allocations_in([&] {
+      BufferCache::Buffer buffer = BufferCache::take();
+      capacity = buffer.capacity();
+      came_back_empty = buffer.empty();
+      buffer.assign(kCapacity, std::byte{2});
+      BufferCache::give(std::move(buffer));
+    });
+  });
+  EXPECT_EQ(capacity, kCapacity);
+  EXPECT_TRUE(came_back_empty);
+  EXPECT_EQ(allocs, 0u);
+}
+
+TEST(BufferCache, FullLocalStackFlushesHalfToTheSharedStack) {
+  drain_shared();
+  std::atomic<bool> given{false};
+  std::atomic<bool> drained{false};
+  std::thread giver([&] {
+    for (std::size_t i = 0; i <= BufferCache::kLocalDepth; ++i) {
+      BufferCache::give(with_capacity(300));
+    }
+    given.store(true);
+    while (!drained.load()) std::this_thread::yield();
+  });
+  while (!given.load()) std::this_thread::yield();
+  // The giver is still alive, so only its overflow flush is visible.
+  const std::vector<std::size_t> shared = drain_shared();
+  drained.store(true);
+  giver.join();
+  EXPECT_EQ(shared.size(), BufferCache::kLocalDepth / 2);
+  for (const std::size_t capacity : shared) EXPECT_EQ(capacity, 300u);
+}
+
+TEST(BufferCache, ReusesItsOwnSparesBeforeTheSharedStack) {
+  drain_shared();
+  on_fresh_thread([] { BufferCache::give(with_capacity(500)); });
+  std::size_t capacity = 0;
+  on_fresh_thread([&] {
+    BufferCache::give(with_capacity(77));
+    capacity = BufferCache::take().capacity();
+  });
+  EXPECT_EQ(capacity, 77u);
+  EXPECT_EQ(drain_shared(), std::vector<std::size_t>{500});
+}
+
+TEST(BufferCache, SharedStackKeepsAtMostItsRetentionBound) {
+  drain_shared();
+  on_fresh_thread([] {
+    for (std::size_t i = 0; i < 4 * BufferCache::kSharedDepth; ++i) {
+      BufferCache::give(with_capacity(64));
+    }
+  });
+  // The rest were freed (the ASan job checks that nothing leaked).
+  EXPECT_EQ(drain_shared().size(), BufferCache::kSharedDepth);
+}
+
+TEST(BufferCache, KeepsNoBufferAboveTheCapacityCap) {
+  drain_shared();
+  on_fresh_thread([] {
+    BufferCache::give(with_capacity(BufferCache::kMaxCapacity + 1));
+    BufferCache::give(with_capacity(BufferCache::kMaxCapacity));
+    BufferCache::give(BufferCache::Buffer{});  // no capacity to keep
+  });
+  EXPECT_EQ(drain_shared(),
+            std::vector<std::size_t>{BufferCache::kMaxCapacity});
+}
+
+TEST(BufferCache, ExitingThreadHandsItsSparesToTheSharedStack) {
+  // Every spare of an exiting thread either reaches the shared stack or is
+  // freed; none is lost (run leak-checked under ASan).
+  drain_shared();
+  on_fresh_thread([] {
+    for (std::size_t i = 0; i < BufferCache::kLocalDepth; ++i) {
+      BufferCache::give(with_capacity(128 + i));
+    }
+  });
+  std::vector<std::size_t> shared = drain_shared();
+  std::sort(shared.begin(), shared.end());
+  ASSERT_EQ(shared.size(), BufferCache::kLocalDepth);
+  for (std::size_t i = 0; i < shared.size(); ++i) {
+    EXPECT_EQ(shared[i], 128 + i);
+  }
 }
 
 TEST(BasicSpinMutex, UcxStyleVariantStillMutuallyExcludes) {
