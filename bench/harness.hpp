@@ -63,11 +63,11 @@ struct RateParams {
   // zero_copy_threshold to travel zero-copy). Supported: 0 (plain payload,
   // the default), 1, 2, 4.
   std::size_t zchunk_count = 0;
-  // Shaped wire (any field > 0 turns wall-clock gating on, like the
-  // open-loop harness): per-packet latency, line rate, and a NIC
-  // message-rate cap. A pkt_rate cap makes a small-message flood
-  // message-rate-bound — the regime where coalescing pays — instead of
-  // host-CPU-bound. 0 everywhere = the platform's zero-time fabric.
+  // Shaped wire (any field > 0 turns wall-clock gating on): per-packet
+  // latency, line rate, and a NIC message-rate cap. A pkt_rate cap makes a
+  // small-message flood message-rate-bound — the regime where coalescing
+  // pays — instead of host-CPU-bound. 0 everywhere = the platform's
+  // zero-time fabric.
   double bandwidth_gbps = 0.0;
   double latency_us = 0.0;
   double pkt_rate_mpps = 0.0;

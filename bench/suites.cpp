@@ -12,7 +12,6 @@
 #include "expdriver/registry.hpp"
 #include "fft.hpp"
 #include "harness.hpp"
-#include "loadgen/loadgen.hpp"
 
 namespace bench::suites {
 
@@ -95,23 +94,6 @@ PointSpec octo_point(const std::string& config, const std::string& platform,
   p.labels = {{"config", config},
               {"platform", platform},
               {"localities", std::to_string(localities)}};
-  return p;
-}
-
-PointSpec openloop_point(const std::string& config, double offered_rps,
-                         const std::string& process) {
-  PointSpec p;
-  p.kind = PointKind::kOpenLoop;
-  p.parcelport = config;
-  p.attempted_rate = offered_rps;
-  // ~0.5 s of offered load per sample at scale 1.0, so every point sees the
-  // same observation window regardless of its rate.
-  p.base_total_msgs = static_cast<std::size_t>(offered_rps / 2.0);
-  p.ol_process = process;
-  p.workers = 2;
-  p.labels = {{"config", config},
-              {"process", process},
-              {"offered_rps", kps_label(offered_rps)}};
   return p;
 }
 
@@ -548,21 +530,30 @@ SuiteSpec ablation_zc_threshold() {
 }
 
 /// Adaptive-aggregation view: per LCI variant, the backpressured 8B flood
-/// rate of the adaptive engine over the `_i` bypass and over fp-only — the
-/// headline speedups — plus the unloaded-latency ratio (the "load-aware"
-/// claim: no batching delay when the destination window is empty).
+/// rate of the adaptive engine over the `_i` bypass, over fp-only and over
+/// the paper's parcel-queue path (the faster of its two connection caps) —
+/// the headline speedups — plus the unloaded-latency ratio (the
+/// "load-aware" claim: no batching delay when the destination window is
+/// empty).
 void print_aggregation_speedup(const SuiteResult& result) {
   struct Row {
     double adaptive = 0.0, fponly = 0.0, bypass = 0.0;
     double lat_adaptive = 0.0, lat_fponly = 0.0;
   };
   std::vector<std::pair<std::string, Row>> rows;  // insertion order
+  double paper = 0.0;
   for (const auto& point : result.points) {
     const auto variant = point.labels.find("variant");
     const auto mode = point.labels.find("mode");
     const auto size = point.labels.find("msg_size");
     if (variant == point.labels.end() || mode == point.labels.end() ||
         size == point.labels.end() || size->second != "8") {
+      continue;
+    }
+    if (mode->second == "paper") {
+      if (const auto* rate = point.metric("rate_kps")) {
+        paper = std::max(paper, rate->median);
+      }
       continue;
     }
     auto it = std::find_if(rows.begin(), rows.end(), [&](const auto& row) {
@@ -586,14 +577,16 @@ void print_aggregation_speedup(const SuiteResult& result) {
       "\n# adaptive aggregation at 8B under backpressure (rate speedups; "
       "idle_latency_ratio from the unloaded window-1 points)\n");
   std::printf("variant,adaptive_over_bypass,adaptive_over_fponly,"
-              "idle_latency_ratio\n");
-  double bypass_log_sum = 0.0, fponly_log_sum = 0.0, lat_log_sum = 0.0;
-  std::size_t bypass_n = 0, fponly_n = 0, lat_n = 0;
+              "adaptive_over_paper,idle_latency_ratio\n");
+  double bypass_log_sum = 0.0, fponly_log_sum = 0.0, paper_log_sum = 0.0,
+         lat_log_sum = 0.0;
+  std::size_t bypass_n = 0, fponly_n = 0, paper_n = 0, lat_n = 0;
   for (const auto& [variant, row] : rows) {
     const double over_bypass =
         row.bypass > 0.0 ? row.adaptive / row.bypass : 0.0;
     const double over_fponly =
         row.fponly > 0.0 ? row.adaptive / row.fponly : 0.0;
+    const double over_paper = paper > 0.0 ? row.adaptive / paper : 0.0;
     const double lat_ratio =
         row.lat_fponly > 0.0 ? row.lat_adaptive / row.lat_fponly : 0.0;
     if (over_bypass > 0.0) {
@@ -604,17 +597,22 @@ void print_aggregation_speedup(const SuiteResult& result) {
       fponly_log_sum += std::log(over_fponly);
       ++fponly_n;
     }
+    if (over_paper > 0.0) {
+      paper_log_sum += std::log(over_paper);
+      ++paper_n;
+    }
     if (lat_ratio > 0.0) {
       lat_log_sum += std::log(lat_ratio);
       ++lat_n;
     }
-    std::printf("%s,%.3f,%.3f,%.3f\n", variant.c_str(), over_bypass,
-                over_fponly, lat_ratio);
+    std::printf("%s,%.3f,%.3f,%.3f,%.3f\n", variant.c_str(), over_bypass,
+                over_fponly, over_paper, lat_ratio);
   }
   if (bypass_n > 0 && fponly_n > 0) {
-    std::printf("geomean,%.3f,%.3f,%.3f\n",
+    std::printf("geomean,%.3f,%.3f,%.3f,%.3f\n",
                 std::exp(bypass_log_sum / bypass_n),
                 std::exp(fponly_log_sum / fponly_n),
+                paper_n > 0 ? std::exp(paper_log_sum / paper_n) : 0.0,
                 lat_n > 0 ? std::exp(lat_log_sum / lat_n) : 0.0);
   }
   std::fflush(stdout);
@@ -635,7 +633,11 @@ SuiteSpec ablation_aggregation() {
       "frames and beats both the _i bypass and the fp-only path (>=1.2x "
       "geomean; uncoalesced modes peg at the packet cap), while unloaded "
       "single-parcel latency is untouched because an empty destination "
-      "window bypasses the buffers entirely";
+      "window bypasses the buffers entirely. The paper's parcel-queue path "
+      "on the same wire (paper rows) mostly pegs at the cap as well: a "
+      "fast-path send completes inside send(), so the connection is free "
+      "before the next parcel queues (messages_sent == parcels_sent). In "
+      "the runs where it does coalesce, cap 1 outruns the engine";
   s.smoke = true;
   struct Variant {
     const char* label;
@@ -694,6 +696,22 @@ SuiteSpec ablation_aggregation() {
       }
     }
   }
+  // The paper's own aggregation on the same shaped wire: no "_i", so parcels
+  // wait in HPX's per-destination parcel queue while the connection cache is
+  // at its cap and leave as one message. No admission window: the parcel
+  // queue is the only mechanism. The "paper" mode label keeps these rows
+  // apart from the unshaped cache rows above.
+  for (const Variant& variant : {Variant{"cache8192", "lci_psr_cq_pin", 8192},
+                                 Variant{"cache1", "lci_psr_cq_pin", 1}}) {
+    PointSpec p = rate_point(variant.config, 8, 100, k8bFloodMsgs, 0.0);
+    p.max_connections = variant.max_connections;
+    p.rate_pkt_mpps = 0.3;
+    p.rate_bandwidth_gbps = 10.0;
+    p.rate_latency_us = 5.0;
+    p.labels["variant"] = variant.label;
+    p.labels["mode"] = "paper";
+    s.points.push_back(std::move(p));
+  }
   // Unloaded single-parcel latency (no admission window, depth always 0):
   // the load-aware switch must keep the aggregator out of the way, so
   // adaptive may not regress over fp-only by more than noise.
@@ -717,7 +735,11 @@ SuiteSpec ablation_aggregation() {
     p.labels["mode"] = mode.label;
     s.points.push_back(std::move(p));
   }
-  s.probes = {{"agg_batched", "pplci/", "/agg_batched"},
+  // parcels_sent vs messages_sent shows whether a mode coalesced at all
+  // (the paper path's parcel queue included).
+  s.probes = {{"parcels_sent", "amt/", "/parcels_sent"},
+              {"messages_sent", "amt/", "/messages_sent"},
+              {"agg_batched", "pplci/", "/agg_batched"},
               {"agg_flushes_size", "pplci/", "/agg_flushes_size"},
               {"agg_flushes_stall", "pplci/", "/agg_flushes_stall"},
               {"agg_flushes_age", "pplci/", "/agg_flushes_age"},
@@ -912,87 +934,6 @@ SuiteSpec ablation_fastpath() {
   s.probes = {{"fastpath_hits", "pplci/", "/fastpath_hits"},
               {"fastpath_fallbacks", "pplci/", "/fastpath_fallbacks"}};
   s.post_summary = print_fastpath_speedup;
-  return s;
-}
-
-/// Open-loop view: per config+process, offered vs goodput and the tail.
-void print_openloop_knee(const SuiteResult& result) {
-  std::printf("\n# open-loop knee (offered vs goodput and tail)\n");
-  std::printf(
-      "config,process,offered_kps,goodput_kps,p50_us,p99_us,p999_us,shed\n");
-  for (const auto& point : result.points) {
-    const auto config = point.labels.find("config");
-    const auto process = point.labels.find("process");
-    const auto* offered = point.metric("offered_kps");
-    const auto* goodput = point.metric("goodput_kps");
-    const auto* p50 = point.metric("p50_us");
-    const auto* p99 = point.metric("p99_us");
-    const auto* p999 = point.metric("p999_us");
-    const auto* shed = point.metric("admit_shed");
-    if (config == point.labels.end() || offered == nullptr ||
-        goodput == nullptr) {
-      continue;
-    }
-    std::printf("%s,%s,%.3f,%.3f,%.1f,%.1f,%.1f,%.0f\n",
-                config->second.c_str(),
-                process != point.labels.end() ? process->second.c_str() : "-",
-                offered->median, goodput->median,
-                p50 != nullptr ? p50->median : 0.0,
-                p99 != nullptr ? p99->median : 0.0,
-                p999 != nullptr ? p999->median : 0.0,
-                shed != nullptr ? shed->median : 0.0);
-  }
-}
-
-SuiteSpec openloop() {
-  SuiteSpec s;
-  s.name = "openloop";
-  s.figure = "serving extra";
-  s.title = "open-loop serving: latency knee vs offered load and admission";
-  s.expectation =
-      "past the shaped-fabric capacity (~3.9k req/s at 4KiB) the "
-      "uncontrolled p99.9 explodes with queueing (the knee), goodput "
-      "plateaus at capacity; a bounded shed window keeps the tail within a "
-      "small factor of sub-saturation while goodput stays at the plateau "
-      "(the shed counters show what it cost); blocking never sheds but "
-      "parks the queue at the generator, so the measured-from-arrival tail "
-      "stays saturated; deadline-drop trades completions for tail";
-  s.smoke = true;
-  // The knee sweep: admission off across 0.3x..1.5x of saturation.
-  for (double rps : {1200.0, 2400.0, 3600.0, 6000.0}) {
-    s.points.push_back(openloop_point("lci_psr_cq_pin_i", rps, "poisson"));
-  }
-  // Admission policies at 1.5x saturation.
-  for (const char* config :
-       {"lci_psr_cq_pin_i_shed16", "lci_psr_cq_pin_i_shed32",
-        "lci_psr_cq_pin_i_block16"}) {
-    s.points.push_back(openloop_point(config, 6000.0, "poisson"));
-  }
-  {
-    // Deadline drops need a real queue: no send-immediate and a single
-    // cached connection, so parcels wait behind in-flight aggregates; the
-    // deadline is pinned below one aggregate's send time so queued parcels
-    // reliably go stale.
-    PointSpec p = openloop_point("lci_psr_cq_pin_dl512", 6000.0, "poisson");
-    p.max_connections = 1;
-    p.ol_admit_deadline_us = 200;
-    // Double observation window: at smoke scale the stale-queue regime
-    // needs time to establish before the median run shows drops.
-    p.base_total_msgs *= 2;
-    s.points.push_back(std::move(p));
-  }
-  // Bursty arrivals: the same long-run rate concentrated in on-periods
-  // stresses the tail below saturation and the shed window above it.
-  s.points.push_back(openloop_point("lci_psr_cq_pin_i", 2400.0, "burst"));
-  s.points.push_back(
-      openloop_point("lci_psr_cq_pin_i_shed16", 6000.0, "burst"));
-  // Cross-parcelport reference: mpi_i through the same serving path.
-  s.points.push_back(openloop_point("mpi_i", 2400.0, "poisson"));
-  s.points.push_back(openloop_point("mpi_i", 6000.0, "poisson"));
-  s.probes = {{"admit_accepted", "amt/", "/admit_accepted"},
-              {"admit_shed", "amt/", "/admit_shed"},
-              {"admit_deadline_drops", "amt/", "/admit_deadline_drops"}};
-  s.post_summary = print_openloop_knee;
   return s;
 }
 
@@ -1259,7 +1200,6 @@ void register_all() {
     registry.add(ablation_pipeline());
     registry.add(ablation_progress());
     registry.add(ablation_fastpath());
-    registry.add(openloop());
     registry.add(ablation_collectives());
     registry.add(ablation_backend());
     registry.add(fft());
@@ -1274,12 +1214,10 @@ expdriver::PointRunner make_harness_runner(const SuiteSpec& spec) {
     telemetry::Snapshot snapshot;
     bool have_snapshot = false;
     if (!probes.empty()) {
-      const auto sink = [&](const telemetry::Snapshot& snap) {
+      bench::set_snapshot_sink([&](const telemetry::Snapshot& snap) {
         snapshot = snap;
         have_snapshot = true;
-      };
-      bench::set_snapshot_sink(sink);
-      loadgen::set_snapshot_sink(sink);
+      });
     }
 
     Sample sample;
@@ -1337,76 +1275,6 @@ expdriver::PointRunner make_harness_runner(const SuiteSpec& spec) {
         sample.push_back({"steps_per_s", run_octo_steps_per_second(params)});
         break;
       }
-      case PointKind::kOpenLoop: {
-        loadgen::Params params;
-        params.parcelport = p.parcelport;
-        params.localities = p.localities;
-        params.workers = workers;
-        params.requests = expdriver::scaled_count(p.base_total_msgs,
-                                                  env.scale);
-        params.arrival.rate_rps = p.attempted_rate;
-        params.arrival.seed = p.ol_seed;
-        params.arrival.process = p.ol_process == "burst"
-                                     ? loadgen::ArrivalConfig::Process::kBurst
-                                     : loadgen::ArrivalConfig::Process::kPoisson;
-        params.size_mix = loadgen::parse_size_mix(p.ol_size_mix);
-        params.zero_copy_threshold = p.zero_copy_threshold;
-        params.max_connections = p.max_connections;
-        params.fabric_rails = p.fabric_rails;
-        params.bandwidth_gbps = p.ol_bandwidth_gbps;
-        params.latency_us = p.ol_latency_us;
-        // Deadline points pin their deadline through the same env knob a
-        // user would set, so the plumbing is exercised and the ambient
-        // environment can't skew the recorded point.
-        const char* prev_deadline = std::getenv("AMTNET_ADMIT_DEADLINE_US");
-        const std::string saved_deadline =
-            prev_deadline != nullptr ? prev_deadline : "";
-        if (p.ol_admit_deadline_us > 0) {
-          ::setenv("AMTNET_ADMIT_DEADLINE_US",
-                   std::to_string(p.ol_admit_deadline_us).c_str(), 1);
-        }
-        const loadgen::Result result = loadgen::run_open_loop(params);
-        if (p.ol_admit_deadline_us > 0) {
-          if (prev_deadline != nullptr) {
-            ::setenv("AMTNET_ADMIT_DEADLINE_US", saved_deadline.c_str(), 1);
-          } else {
-            ::unsetenv("AMTNET_ADMIT_DEADLINE_US");
-          }
-        }
-        if (!result.conserved) {
-          // Conservation (generated == accepted + shed, accepted ==
-          // completed + deadline drops) is the subsystem's contract; a
-          // violated run means lost or double-counted requests, so no
-          // number it produced can be trusted.
-          std::fprintf(stderr,
-                       "openloop: request conservation violated "
-                       "(generated=%llu accepted=%llu shed=%llu "
-                       "completed=%llu deadline_drops=%llu)\n",
-                       static_cast<unsigned long long>(result.generated),
-                       static_cast<unsigned long long>(result.accepted),
-                       static_cast<unsigned long long>(result.shed),
-                       static_cast<unsigned long long>(result.completed),
-                       static_cast<unsigned long long>(
-                           result.deadline_drops));
-          std::abort();
-        }
-        sample.push_back({"goodput_kps", result.goodput_kps});
-        sample.push_back({"offered_kps", result.offered_kps});
-        sample.push_back({"p50_us", result.p50_us});
-        sample.push_back({"p99_us", result.p99_us});
-        sample.push_back({"p999_us", result.p999_us});
-        sample.push_back({"gen_lag_p99_us", result.gen_lag_p99_us});
-        sample.push_back(
-            {"peak_queue_depth",
-             static_cast<double>(result.peak_queue_depth)});
-        // Low 32 bits of the FNV-1a schedule hash (exact in a double):
-        // identical across runs and machines under a fixed seed, so any
-        // drift in the recorded results flags a reproducibility break.
-        sample.push_back(
-            {"schedule_hash32",
-             static_cast<double>(result.schedule_hash & 0xffffffffull)});
-        break;
-      }
       case PointKind::kColl: {
         CollBenchParams params;
         params.parcelport = p.parcelport;
@@ -1446,7 +1314,6 @@ expdriver::PointRunner make_harness_runner(const SuiteSpec& spec) {
 
     if (!probes.empty()) {
       bench::set_snapshot_sink(nullptr);
-      loadgen::set_snapshot_sink(nullptr);
       for (const auto& probe : probes) {
         sample.push_back(
             {probe.metric,

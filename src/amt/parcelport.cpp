@@ -1,42 +1,12 @@
 #include "amt/parcelport.hpp"
 
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "amt/wire_header.hpp"
 #include "common/config.hpp"
 
 namespace amt {
-
-namespace {
-
-/// Parses a "<prefix><digits>" token into an admission policy + bound.
-/// Returns false when the token is not of that shape (caller keeps going).
-bool parse_admission_token(const std::string& token, const char* prefix,
-                           AdmissionConfig::Policy policy,
-                           AdmissionConfig& admission) {
-  const std::size_t len = std::strlen(prefix);
-  if (token.size() <= len || token.compare(0, len, prefix) != 0) return false;
-  if (token.find_first_not_of("0123456789", len) != std::string::npos) {
-    return false;
-  }
-  const unsigned long bound = std::stoul(token.substr(len));
-  if (bound == 0) {
-    throw std::invalid_argument("admission bound must be >= 1: " + token);
-  }
-  admission.policy = policy;
-  admission.queue_bound = bound;
-  return true;
-}
-
-}  // namespace
-
-void apply_admission_env(AdmissionConfig& config) {
-  if (const char* s = std::getenv("AMTNET_ADMIT_DEADLINE_US")) {
-    config.deadline_us = std::strtod(s, nullptr);
-  }
-}
 
 ParcelportConfig ParcelportConfig::parse(const std::string& name) {
   ParcelportConfig config;
@@ -75,8 +45,6 @@ ParcelportConfig ParcelportConfig::parse(const std::string& name) {
             name);
       }
       config.lci_fastpath = static_cast<long>(cap);
-    } else if (token == "aggoff") {
-      config.lci_agg = 0;
     } else if (token.size() > 4 && token.compare(0, 4, "aggt") == 0 &&
                token.find_first_not_of("0123456789", 4) == std::string::npos) {
       config.lci_agg_age_us = static_cast<long>(std::stoul(token.substr(4)));
@@ -87,8 +55,7 @@ ParcelportConfig ParcelportConfig::parse(const std::string& name) {
         throw std::invalid_argument(
             "aggregation cap must be >= " +
             std::to_string(kMinAggFrameBytes) +
-            " bytes (the minimum one-parcel batch frame; use aggoff to "
-            "disable): " + name);
+            " bytes (the minimum one-parcel batch frame): " + name);
       }
       config.lci_agg = static_cast<long>(cap);
     } else if (token.size() > 4 && token.compare(0, 4, "coll") == 0) {
@@ -110,16 +77,15 @@ ParcelportConfig ParcelportConfig::parse(const std::string& name) {
       config.mpi_coarse_lock = false;
     } else if (token == "orig") {
       config.mpi_original = true;
-    } else if (parse_admission_token(token, "shed",
-                                     AdmissionConfig::Policy::kShed,
-                                     config.admission) ||
-               parse_admission_token(token, "block",
-                                     AdmissionConfig::Policy::kBlock,
-                                     config.admission) ||
-               parse_admission_token(token, "dl",
-                                     AdmissionConfig::Policy::kDeadline,
-                                     config.admission)) {
-      // admission-control tokens, handled by parse_admission_token
+    } else if (token.size() > 5 && token.compare(0, 5, "block") == 0 &&
+               token.find_first_not_of("0123456789", 5) ==
+                   std::string::npos) {
+      const unsigned long window = std::stoul(token.substr(5));
+      if (window == 0) {
+        throw std::invalid_argument("admission window must be >= 1: " +
+                                    name);
+      }
+      config.admission.window = window;
     } else if (!token.empty()) {
       throw std::invalid_argument("unknown parcelport config token: " +
                                   token);
@@ -150,11 +116,7 @@ std::string ParcelportConfig::name() const {
     } else if (lci_fastpath > 1) {
       out += "_fp" + std::to_string(lci_fastpath);
     }
-    if (lci_agg == 0) {
-      out += "_aggoff";
-    } else if (lci_agg > 0) {
-      out += "_agg" + std::to_string(lci_agg);
-    }
+    if (lci_agg > 0) out += "_agg" + std::to_string(lci_agg);
     if (lci_agg_age_us >= 0) {
       out += "_aggt" + std::to_string(lci_agg_age_us);
     }
@@ -162,21 +124,7 @@ std::string ParcelportConfig::name() const {
   if (send_immediate) out += "_i";
   if (!coll.empty()) out += "_coll" + coll;
   if (fabric_backend != "sim") out += "_backend" + fabric_backend;
-  if (admission.on()) {
-    switch (admission.policy) {
-      case AdmissionConfig::Policy::kShed:
-        out += "_shed" + std::to_string(admission.queue_bound);
-        break;
-      case AdmissionConfig::Policy::kBlock:
-        out += "_block" + std::to_string(admission.queue_bound);
-        break;
-      case AdmissionConfig::Policy::kDeadline:
-        out += "_dl" + std::to_string(admission.queue_bound);
-        break;
-      case AdmissionConfig::Policy::kNone:
-        break;
-    }
-  }
+  if (admission.on()) out += "_block" + std::to_string(admission.window);
   return out;
 }
 

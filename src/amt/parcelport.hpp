@@ -15,33 +15,19 @@
 
 namespace amt {
 
-/// Admission control for the parcel send path (the serving-side analogue of
-/// the fabric's TX-window back-pressure): a bound on per-destination
-/// in-flight parcels plus a policy for what happens to new *admissible*
-/// parcels — fire-and-forget applies — once the bound is hit. Responses and
-/// promise-bearing requests are always exempt: shedding them would strand
-/// promises (and futures) on the caller, so only best-effort traffic is
-/// ever refused. Configured by name tokens (shed<N> / block<N> / dl<N>);
-/// the deadline comes from AMTNET_ADMIT_DEADLINE_US (apply_admission_env).
+/// Admission control for the parcel send path (the runtime-level analogue
+/// of the fabric's TX-window back-pressure), from a block<N> token: at most
+/// N fire-and-forget parcels per destination may be accepted and not yet
+/// executed there; a sender that finds the window full waits, running
+/// scheduler and progress work meanwhile. Responses and promise-bearing
+/// requests occupy the window but never wait on it: their callers are
+/// already throttled by the futures they hold. The window's depth is the
+/// LCI aggregator's backpressure signal (ParcelportContext::queue_depth).
 struct AdmissionConfig {
-  enum class Policy {
-    kNone,      // unbounded queues (the historical behaviour)
-    kShed,      // reject new admissible parcels while the bound is hit
-    kBlock,     // back-pressure the caller (runs scheduler + progress work)
-    kDeadline,  // shed at the bound AND drop queued parcels older than
-                // deadline_us at flush time (no effect on "_i" configs,
-                // which never queue)
-  };
-  Policy policy = Policy::kNone;
-  std::size_t queue_bound = 0;  // per-destination in-flight parcel cap
-  double deadline_us = 1000.0;  // kDeadline: max queue age before drop
+  std::size_t window = 0;  // per-destination in-flight parcel cap; 0 = off
 
-  bool on() const { return policy != Policy::kNone && queue_bound > 0; }
+  bool on() const { return window > 0; }
 };
-
-/// Overrides deadline_us from AMTNET_ADMIT_DEADLINE_US, the queue-age drop
-/// threshold of the deadline policy (unset leaves it untouched).
-void apply_admission_env(AdmissionConfig& config);
 
 /// Which backend and which design-variant knobs to use. Parsed from the
 /// paper's configuration names, e.g. "lci_psr_cq_pin_i", "mpi_i".
@@ -71,11 +57,11 @@ struct ParcelportConfig {
 
   /// LCI adaptive aggregation: per-destination coalescing of fast-path-sized
   /// parcels into multi-parcel batch frames, activated only while the
-  /// destination's admission window is backpressured. -1 = unset in the name
-  /// (off, the default); "aggoff" = 0 (disabled);
-  /// "agg<BYTES>" = batch-frame byte cap (capped at the eager threshold;
-  /// values below the minimum frame overhead are rejected at parse).
-  long lci_agg = -1;
+  /// destination's admission window is backpressured. 0 = off (the default,
+  /// no token); "agg<BYTES>" = batch-frame byte cap (capped at the eager
+  /// threshold; values below the minimum frame overhead are rejected at
+  /// parse).
+  long lci_agg = 0;
   /// Age deadline in microseconds for a partially filled batch ("aggt<N>";
   /// -1 = unset, 200 µs). 0 disables the age trigger (size/idle flushes
   /// still apply).
@@ -86,8 +72,8 @@ struct ParcelportConfig {
   bool mpi_original = false;    // "orig": pre-optimisation MPI parcelport
                                 // (static 512B header, tag-release protocol)
 
-  /// Send-path admission control, from shed<N> / block<N> / dl<N> tokens
-  /// (N = per-destination bound). Applies to every backend.
+  /// Send-path admission window, from a block<N> token (N = per-destination
+  /// bound). Applies to every backend.
   AdmissionConfig admission;
 
   /// Collective algorithm family, from a coll<ALGO> token: "central",
@@ -124,8 +110,8 @@ struct ParcelportContext {
   /// Parcels accepted for `dst` whose admission credits have not yet
   /// returned (DestQueue::outstanding) — the aggregator's backpressure
   /// signal. Exact even under AMTNET_TELEMETRY_DISABLED, but only
-  /// maintained while admission control is on; reads 0 otherwise. Null when
-  /// the hosting runtime provides no admission window at all.
+  /// maintained while the admission window is on; reads 0 otherwise. Null
+  /// when the hosting runtime provides no admission window at all.
   std::function<std::uint64_t(Rank dst)> queue_depth;
 };
 

@@ -58,11 +58,7 @@ Locality::Locality(Runtime& runtime, Rank rank, const RuntimeConfig& config)
       gauge_parcel_queue_depth_(runtime.telemetry().gauge(
           loc_metric(rank, "parcel_queue_depth"))),
       ctr_admit_accepted_(
-          runtime.telemetry().counter(loc_metric(rank, "admit_accepted"))),
-      ctr_admit_shed_(
-          runtime.telemetry().counter(loc_metric(rank, "admit_shed"))),
-      ctr_admit_deadline_drops_(runtime.telemetry().counter(
-          loc_metric(rank, "admit_deadline_drops"))) {
+          runtime.telemetry().counter(loc_metric(rank, "admit_accepted"))) {
   connection_cache_.attach_counters(
       &runtime.telemetry().counter(loc_metric(rank, "conncache_hits")),
       &runtime.telemetry().counter(loc_metric(rank, "conncache_failures")));
@@ -83,19 +79,18 @@ void Locality::spawn(common::UniqueFunction<void()> fn) {
   });
 }
 
-bool Locality::put_parcel(Rank dst, ParcelWriter writer, bool admissible) {
-  common::Nanos parcel_deadline = 0;
-  // Admission control (remote destinations only: local delivery never
+void Locality::put_parcel(Rank dst, ParcelWriter writer, bool admissible) {
+  // Admission window (remote destinations only: local delivery never
   // queues on the network). The whole block compiles down to one branch on
   // admission_on_ for the historical configurations.
   if (admission_on_ && dst != rank_) {
     DestQueue& queue = *parcel_queues_[dst];
-    const auto bound = static_cast<std::int64_t>(admission_.queue_bound);
-    // Every accepted parcel — admissible or exempt — occupies a queue slot
-    // until its send completes; exempt traffic fills the bound but is never
-    // refused by it. Admissible traffic claims its slot with one CAS, so
-    // concurrent senders can never both pass the bound check on the last
-    // free slot.
+    const auto bound = static_cast<std::int64_t>(admission_.window);
+    // Every accepted parcel — admissible or exempt — occupies a window slot
+    // until it executes at the destination; exempt traffic fills the window
+    // but never waits on it. Admissible traffic claims its slot with one
+    // CAS, so concurrent senders can never both pass the bound check on the
+    // last free slot.
     std::int64_t depth = 0;
     const auto try_reserve = [&queue, bound, &depth] {
       std::int64_t cur = queue.outstanding.load(std::memory_order_relaxed);
@@ -108,27 +103,14 @@ bool Locality::put_parcel(Rank dst, ParcelWriter writer, bool admissible) {
       }
       return false;
     };
-    const bool bounded =
-        admissible && admission_.policy != AdmissionConfig::Policy::kNone;
-    if (!bounded) {
+    if (!admissible) {
       depth = queue.outstanding.fetch_add(1, std::memory_order_relaxed) + 1;
-    } else if (admission_.policy == AdmissionConfig::Policy::kBlock) {
+    } else {
       if (!try_reserve()) {
         admit_block_waits_.fetch_add(1, std::memory_order_relaxed);
         // Runs tasks + parcelport progress while waiting, so send
         // completions keep draining even when every worker blocks here.
         scheduler_.wait_until(try_reserve);
-      }
-    } else if (!try_reserve()) {  // shed / deadline
-      admit_shed_.fetch_add(1, std::memory_order_relaxed);
-      ctr_admit_shed_.add();
-      return false;
-    }
-    if (admissible) {
-      if (admission_.policy == AdmissionConfig::Policy::kDeadline) {
-        parcel_deadline =
-            common::now_ns() +
-            static_cast<common::Nanos>(admission_.deadline_us * 1000.0);
       }
       admit_accepted_.fetch_add(1, std::memory_order_relaxed);
       ctr_admit_accepted_.add();
@@ -158,16 +140,15 @@ bool Locality::put_parcel(Rank dst, ParcelWriter writer, bool admissible) {
     } else {
       parcelport_->send(dst, std::move(msg), [] {});
     }
-    return true;
+    return;
   }
 
   {
     DestQueue& queue = *parcel_queues_[dst];
     std::lock_guard<common::SpinMutex> guard(queue.mutex);
-    queue.parcels.push_back({std::move(writer), parcel_deadline});
+    queue.parcels.push_back(std::move(writer));
   }
   try_flush(dst);
-  return true;
 }
 
 void Locality::admission_release(Rank dst, std::int64_t parcels) {
@@ -180,36 +161,11 @@ void Locality::admission_release(Rank dst, std::int64_t parcels) {
 void Locality::try_flush(Rank dst) {
   for (;;) {
     if (!connection_cache_.try_acquire()) return;  // parcels stay queued
-    std::vector<PendingParcel> pending;
+    std::vector<ParcelWriter> pending;
     {
       DestQueue& queue = *parcel_queues_[dst];
       std::lock_guard<common::SpinMutex> guard(queue.mutex);
       pending.swap(queue.parcels);
-    }
-    // Deadline policy: parcels that aged past their deadline while waiting
-    // for a connection are dropped here instead of sent — stale work is the
-    // one thing an overloaded serving path should never transmit.
-    if (admission_on_ &&
-        admission_.policy == AdmissionConfig::Policy::kDeadline &&
-        !pending.empty()) {
-      const common::Nanos now = common::now_ns();
-      std::size_t kept = 0;
-      for (std::size_t i = 0; i < pending.size(); ++i) {
-        if (pending[i].deadline_ns != 0 && now > pending[i].deadline_ns) {
-          continue;
-        }
-        if (kept != i) pending[kept] = std::move(pending[i]);
-        ++kept;
-      }
-      const auto dropped =
-          static_cast<std::int64_t>(pending.size() - kept);
-      if (dropped != 0) {
-        pending.resize(kept);
-        admit_deadline_drops_.fetch_add(static_cast<std::uint64_t>(dropped),
-                                        std::memory_order_relaxed);
-        ctr_admit_deadline_drops_.add(static_cast<std::uint64_t>(dropped));
-        admission_release(dst, dropped);
-      }
     }
     if (pending.empty()) {
       connection_cache_.release();
@@ -221,18 +177,16 @@ void Locality::try_flush(Rank dst) {
     ar << static_cast<std::uint32_t>(pending.size());
     OutMessage msg = [&] {
       telemetry::ScopedTimer timer(hist_serialize_ns_);
-      for (auto& parcel : pending) parcel.writer(ar);
+      for (auto& writer : pending) writer(ar);
       return ar.finish();
     }();
     ctr_messages_sent_.add();
-    const auto batch = static_cast<std::int64_t>(pending.size());
 
     if (dst == rank_) {
       deliver_local(std::move(msg));
       connection_cache_.release();
       continue;  // more parcels may have queued meanwhile
     }
-    (void)batch;
     parcelport_->send(dst, std::move(msg), [this, dst] {
       connection_cache_.release();
       // The freed connection may unblock queued parcels — this or others.
@@ -279,7 +233,7 @@ void Locality::on_message(InMessage&& msg) {
     common::BufferCache::give(std::move(msg.main_chunk));
     // Credit return for the sender's admission window: a slot frees only
     // once its parcel has *executed* here, so `outstanding` spans the whole
-    // serving path (sender queue, wire, destination scheduler) — send-side
+    // path (sender queue, wire, destination scheduler) — send-side
     // completions fire at injection and would hide the downstream backlog.
     // The return is an in-process shortcut, so it only works when the
     // sender's locality object lives here; multi-process (shm) runs reject
@@ -343,9 +297,6 @@ void Locality::send_response(Rank dst, std::uint64_t promise_id,
 AdmissionStats Locality::admission_stats() const {
   AdmissionStats stats;
   stats.accepted = admit_accepted_.load(std::memory_order_relaxed);
-  stats.shed = admit_shed_.load(std::memory_order_relaxed);
-  stats.deadline_drops =
-      admit_deadline_drops_.load(std::memory_order_relaxed);
   stats.block_waits = admit_block_waits_.load(std::memory_order_relaxed);
   stats.peak_queue_depth = admit_peak_depth_.load(std::memory_order_relaxed);
   return stats;
@@ -376,7 +327,7 @@ Runtime::Runtime(RuntimeConfig config, ParcelportFactory factory)
     // Admission credits return through the sender's in-process locality
     // object, which does not exist across process boundaries.
     throw std::invalid_argument(
-        "admission control (shed/block/dl) is not supported in "
+        "the admission window (block<N>) is not supported in "
         "multi-process shm mode");
   }
   localities_.resize(config_.num_localities);

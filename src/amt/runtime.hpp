@@ -24,7 +24,6 @@
 #include "amt/parcelport.hpp"
 #include "amt/scheduler.hpp"
 #include "amt/serialization.hpp"
-#include "common/clock.hpp"
 #include "common/spinlock.hpp"
 #include "fabric/nic.hpp"
 
@@ -136,14 +135,12 @@ struct LocalityStats {
   std::uint64_t actions_executed = 0;
 };
 
-/// Admission-control tallies of one locality (all destinations summed).
+/// Admission-window tallies of one locality (all destinations summed).
 /// Kept in plain atomics — not the telemetry registry — so the conservation
-/// invariant (accepted == executed + deadline_drops at quiescence) holds
-/// exactly even in AMTNET_TELEMETRY_DISABLED builds.
+/// invariant (accepted == executed at quiescence) holds exactly even in
+/// AMTNET_TELEMETRY_DISABLED builds.
 struct AdmissionStats {
-  std::uint64_t accepted = 0;        // admissible parcels admitted
-  std::uint64_t shed = 0;            // refused at the bound (shed/deadline)
-  std::uint64_t deadline_drops = 0;  // dropped stale from a parcel queue
+  std::uint64_t accepted = 0;        // fire-and-forget parcels admitted
   std::uint64_t block_waits = 0;     // put_parcel calls that had to wait
   std::int64_t peak_queue_depth = 0; // max in-flight parcels to any one dest
 };
@@ -163,20 +160,11 @@ class Locality {
   /// Spawns a task on this locality's workers; inside it, here() works.
   void spawn(common::UniqueFunction<void()> fn);
 
-  /// Fire-and-forget remote (or local) action invocation. Under an active
-  /// admission policy the parcel may be shed (see try_apply to observe it).
+  /// Fire-and-forget remote (or local) action invocation. Under an
+  /// admission window it waits while the destination's window is full.
   template <auto Fn, typename... Args>
   void apply(Rank dst, Args&&... args) {
     put_parcel_typed<Fn>(dst, 0, std::forward<Args>(args)...);
-  }
-
-  /// apply() that reports admission: returns false when the parcel was shed
-  /// at the per-destination bound (never false while admission is off or
-  /// under the block policy, which waits instead). The open-loop load
-  /// generator's send primitive.
-  template <auto Fn, typename... Args>
-  [[nodiscard]] bool try_apply(Rank dst, Args&&... args) {
-    return put_parcel_typed<Fn>(dst, 0, std::forward<Args>(args)...);
   }
 
   /// Action invocation returning a future for the result.
@@ -204,7 +192,6 @@ class Locality {
   LocalityStats stats() const;
   /// Relaxed snapshot of the admission tallies (exact at quiescence).
   AdmissionStats admission_stats() const;
-  const AdmissionConfig& admission_config() const { return admission_; }
   const ConnectionCache& connection_cache() const {
     return connection_cache_;
   }
@@ -218,10 +205,9 @@ class Locality {
 
   /// Queues one parcel for `dst` (or serializes immediately when the
   /// send-immediate optimisation is on). Thread-safe. `admissible` marks
-  /// fire-and-forget parcels the admission policy may refuse; responses and
-  /// promise-bearing requests pass false and are always accepted. Returns
-  /// whether the parcel was accepted (always true when admission is off).
-  bool put_parcel(Rank dst, ParcelWriter writer, bool admissible = false);
+  /// fire-and-forget parcels that wait for a free admission-window slot;
+  /// responses and promise-bearing requests pass false and never wait.
+  void put_parcel(Rank dst, ParcelWriter writer, bool admissible = false);
 
   /// Registers a one-shot handler for a response parcel; returns its id.
   std::uint64_t register_promise(
@@ -237,7 +223,7 @@ class Locality {
   friend class Runtime;
 
   template <auto Fn, typename... Args>
-  bool put_parcel_typed(Rank dst, std::uint64_t promise_id, Args&&... args);
+  void put_parcel_typed(Rank dst, std::uint64_t promise_id, Args&&... args);
 
   void try_flush(Rank dst);
   void flush_all();
@@ -246,28 +232,21 @@ class Locality {
   /// on_message hands back to the sender's admission window).
   std::uint32_t handle_message(const InMessage& msg);
 
-  /// One queued parcel: its serializer plus, under the deadline policy, the
-  /// absolute time after which try_flush drops it instead of sending
-  /// (0 = never drop — responses and exempt parcels).
-  struct PendingParcel {
-    ParcelWriter writer;
-    common::Nanos deadline_ns = 0;
-  };
-
   struct DestQueue {
     common::SpinMutex mutex;
-    std::vector<PendingParcel> parcels;
+    std::vector<ParcelWriter> parcels;
     /// Credit window: parcels accepted for this destination that have not
-    /// yet *executed* there (or been deadline-dropped). Send-side completion
-    /// callbacks fire at injection — long before the NIC drains — so credits
-    /// return from the destination's handler instead, making `outstanding`
-    /// cover the whole serving path. Only maintained while admission is on.
+    /// yet *executed* there. Send-side completion callbacks fire at
+    /// injection — long before the NIC drains — so credits return from the
+    /// destination's handler instead, making `outstanding` cover the whole
+    /// path (sender queue, wire, destination scheduler). Only maintained
+    /// while admission is on.
     std::atomic<std::int64_t> outstanding{0};
   };
 
   /// Returns `parcels` credits for destination `dst`: called by the
-  /// destination locality once a message's parcels executed, and by
-  /// try_flush for deadline-dropped parcels. No-op while admission is off.
+  /// destination locality once a message's parcels executed. No-op while
+  /// admission is off.
   void admission_release(Rank dst, std::int64_t parcels);
 
   Runtime& runtime_;
@@ -284,8 +263,6 @@ class Locality {
 
   // Admission tallies (plain atomics: exact under TELEMETRY_DISABLED too).
   std::atomic<std::uint64_t> admit_accepted_{0};
-  std::atomic<std::uint64_t> admit_shed_{0};
-  std::atomic<std::uint64_t> admit_deadline_drops_{0};
   std::atomic<std::uint64_t> admit_block_waits_{0};
   std::atomic<std::int64_t> admit_peak_depth_{0};
 
@@ -304,8 +281,6 @@ class Locality {
   telemetry::Histogram& hist_aggregate_batch_; // parcels per flushed message
   telemetry::Gauge& gauge_parcel_queue_depth_; // in-flight parcels, all dests
   telemetry::Counter& ctr_admit_accepted_;
-  telemetry::Counter& ctr_admit_shed_;
-  telemetry::Counter& ctr_admit_deadline_drops_;
 };
 
 class Runtime {
@@ -412,14 +387,14 @@ ActionId action_id() {
 }
 
 template <auto Fn, typename... Args>
-bool Locality::put_parcel_typed(Rank dst, std::uint64_t promise_id,
+void Locality::put_parcel_typed(Rank dst, std::uint64_t promise_id,
                                 Args&&... args) {
   using Traits = detail::FnTraits<decltype(Fn)>;
   const ActionId action = action_id<Fn>();
   typename Traits::ArgsTuple tuple(std::forward<Args>(args)...);
-  // Only fire-and-forget parcels are admissible: shedding a promise-bearing
-  // request would strand its future forever.
-  return put_parcel(
+  // Only fire-and-forget parcels wait on the admission window: a
+  // promise-bearing request's caller is already throttled by its future.
+  put_parcel(
       dst,
       [action, promise_id,
        tuple = std::move(tuple)](OutputArchive& ar) mutable {

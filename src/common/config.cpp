@@ -182,15 +182,6 @@ const std::vector<Knob>& knob_registry() {
       {Kind::kEnv, "AMTNET_CPU_COUNT", "hardware cores",
        "number of CPUs in this process's affinity range",
        "amtnet_launch"},
-      // -- serving path: admission control and the open-loop load generator --
-      {Kind::kEnv, "AMTNET_ADMIT_DEADLINE_US", "1000",
-       "deadline policy: max queue age in microseconds before a parcel is "
-       "dropped at flush time",
-       "openloop"},
-      {Kind::kEnv, "AMTNET_LOADGEN_SEED", "2026",
-       "overrides the open-loop arrival-schedule seed (the schedule is "
-       "bit-for-bit reproducible per seed)",
-       "test_loadgen"},
       // -- parcelport config-name tokens (Table 1 + ablations) --
       {Kind::kConfigToken, "mpi | lci", "lci",
        "backend selection prefix of the configuration name",
@@ -214,20 +205,19 @@ const std::vector<Knob>& knob_registry() {
        "and follow-up transfers (fp = cap at the eager threshold, fp<N> = "
        "cap at N bytes, fpoff = kill switch)",
        "ablation_fastpath"},
-      {Kind::kConfigToken, "agg<N> | aggt<U> | aggoff", "off",
+      {Kind::kConfigToken, "agg<N> | aggt<U>", "off",
        "LCI adaptive aggregation: coalesce fast-path parcels bound for a "
        "backpressured destination into one batch frame of at most N bytes "
        "(agg<N>, minimum the one-parcel frame overhead), flushed by size, "
        "window stall (the buffer absorbed every outstanding admission "
-       "credit), age (aggt<U> microseconds), idle background work, or stop "
-       "(aggoff = kill switch)",
+       "credit), age (aggt<U> microseconds), idle background work, or stop",
        "ablation_aggregation"},
-      {Kind::kConfigToken, "shed<N> | block<N> | dl<N>", "off",
-       "send-path admission control with per-destination window N: shed "
-       "refuses surplus fire-and-forget parcels at the bound, block "
-       "backpressures the producer task, dl admits up to N but drops "
-       "parcels whose queue age exceeds AMTNET_ADMIT_DEADLINE_US",
-       "openloop"},
+      {Kind::kConfigToken, "block<N>", "off",
+       "send-path admission window: at most N fire-and-forget parcels per "
+       "destination accepted and not yet executed; a sender at the bound "
+       "waits (running tasks and progress). Its depth is the aggregation "
+       "engine's backpressure signal",
+       "ablation_aggregation"},
       {Kind::kConfigToken, "coll<ALGO>", "auto",
        "collective algorithm family for CollectiveGroup ops (collcentral | "
        "colltree | collrd | collring | collauto); applies to every backend",

@@ -21,9 +21,8 @@ namespace expdriver {
 inline constexpr const char* kResultSchema = "amtnet-bench-v1";
 
 /// The three benchmark shapes of the paper's evaluation (§4.1, §4.2, §5),
-/// plus the open-loop serving shape (loadgen + admission control), the
-/// collective-round shape, and the distributed-FFT workload.
-enum class PointKind { kRate, kLatency, kOcto, kOpenLoop, kColl, kFft };
+/// plus the collective-round shape and the distributed-FFT workload.
+enum class PointKind { kRate, kLatency, kOcto, kColl, kFft };
 
 const char* point_kind_name(PointKind kind);
 
@@ -53,22 +52,11 @@ struct PointSpec {
   std::size_t zero_copy_threshold = 8192;
   std::size_t max_connections = 8192;
   unsigned fabric_rails = 0;        // 0 = platform default
-  std::uint32_t localities = 2;     // octo / openloop
+  std::uint32_t localities = 2;     // octo / coll / fft
   int level = 3;                    // octo
   int base_steps = 0;               // latency round trips / octo steps; scaled, min 1
   unsigned window = 1;              // latency chains
   unsigned workers = 0;             // 0 = environment default
-  // openloop shape (reuses attempted_rate as the offered requests/s and
-  // base_total_msgs as the request count; AMTNET_LOADGEN_SEED overrides
-  // ol_seed at run time).
-  std::string ol_process = "poisson";  // poisson | burst
-  std::string ol_size_mix = "4096";    // "bytes:weight,..." request mix
-  std::uint64_t ol_seed = 2026;
-  double ol_bandwidth_gbps = 0.13;     // shaped-fabric line rate
-  double ol_latency_us = 100.0;        // shaped-fabric one-way latency
-  // >0: pin AMTNET_ADMIT_DEADLINE_US for this point (deadline-drop points
-  // must not depend on whatever the ambient environment carries).
-  unsigned ol_admit_deadline_us = 0;
   // coll shape (reuses msg_size as the payload/per-rank block and
   // base_steps as the back-to-back round count; the algorithm family rides
   // in the parcelport name's coll<ALGO> token).

@@ -10,7 +10,6 @@ const char* point_kind_name(PointKind kind) {
     case PointKind::kRate: return "rate";
     case PointKind::kLatency: return "latency";
     case PointKind::kOcto: return "octo";
-    case PointKind::kOpenLoop: return "openloop";
     case PointKind::kColl: return "coll";
     case PointKind::kFft: return "fft";
   }
@@ -55,16 +54,6 @@ MetricSpec metric_spec_for(const SuiteSpec& spec, const std::string& name) {
   }
   if (name == "latency_us") return {"latency_us", "us", true, true, 0.30};
   if (name == "steps_per_s") return {"steps_per_s", "steps/s", false, true, 0.30};
-  // Open-loop serving metrics: goodput is the gated performance statement
-  // (it is pinned by the shaped fabric, so it is stable across machines);
-  // the latency tail is what the suite *maps* — it swings by design across
-  // the knee, so it is recorded with units but never gated.
-  if (name == "goodput_kps") return {"goodput_kps", "K req/s", false, true, 0.30};
-  if (name == "offered_kps") return {"offered_kps", "K req/s", false, false, 0.30};
-  if (name == "p50_us") return {"p50_us", "us", true, false, 0.30};
-  if (name == "p99_us") return {"p99_us", "us", true, false, 0.30};
-  if (name == "p999_us") return {"p999_us", "us", true, false, 0.30};
-  if (name == "gen_lag_p99_us") return {"gen_lag_p99_us", "us", true, false, 0.30};
   // Collective round time and distributed-FFT transform time: wall-clock
   // on the shaped wire, lower is better, gated.
   if (name == "coll_us") return {"coll_us", "us", true, true, 0.30};

@@ -53,7 +53,7 @@ std::size_t resolve_fastpath_cap(const amt::ParcelportConfig& config,
 
 std::size_t resolve_agg_cap(const amt::ParcelportConfig& config,
                             std::size_t eager_threshold) {
-  // The "agg<N>"/"aggoff" token; without one aggregation is OFF (it is
+  // The "agg<N>" token; without one aggregation is OFF (it is
   // opt-in — it changes frame timing, so the historical configurations stay
   // bit-identical). Caps below the minimum frame are rejected at parse. The
   // cap bounds the whole batch frame and can never exceed one medium

@@ -36,7 +36,7 @@
 //   * send-immediate `_i`   — handled above this layer (parcel queue and
 //                             connection cache bypass in amt::Locality),
 //   * fast path  fp/fpoff   — small-parcel put-with-completion (below),
-//   * aggregation agg<N>/aggt<U>/aggoff — adaptive per-destination
+//   * aggregation agg<N>/aggt<U> — adaptive per-destination
 //                             coalescing of small parcels (below).
 //
 // Small-parcel frames (hpx5 `pwc` style): every sub-threshold parcel travels

@@ -42,7 +42,6 @@ amt::RuntimeConfig make_runtime_config(const StackOptions& options) {
   config.zero_copy_threshold = options.zero_copy_threshold;
   config.max_connections = options.max_connections;
   config.parcelport = amt::ParcelportConfig::parse(options.parcelport);
-  amt::apply_admission_env(config.parcelport.admission);
   config.fabric = platform_config(options.platform, config.num_localities);
   if (options.fabric_rails != 0) config.fabric.num_rails = options.fabric_rails;
   config.fabric.faults = options.faults;

@@ -21,8 +21,8 @@
 //     1/kSamplePeriod of the operations), sum()/count() is an unbiased mean,
 //     percentiles are estimated from the samples, and max() is the maximum
 //     over the samples only. Histograms recorded directly with record()
-//     (batch sizes, loadgen's sojourn and lag, the experiment driver's
-//     results) keep every value. Counters are always exact.
+//     (batch sizes, the experiment driver's results) keep every value.
+//     Counters are always exact.
 //   * Reads (value(), percentile(), Registry::snapshot()) aggregate the
 //     shards with relaxed loads: each returned number is a coherent 64-bit
 //     value that existed at some instant during the call, counters are

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "loadgen/loadgen.hpp"
 #include "stack/stack.hpp"
 #include "test_util.hpp"
 
@@ -217,53 +216,6 @@ TEST(ChaosFabric, RandomJitterNeverBreaksProtocols) {
     EXPECT_EQ(stress::payload_checksum.load(), expected_total);
     runtime.stop();
   }
-}
-
-TEST(OpenLoopSoak, SheddingHoldsAtSustainedOverload) {
-  // Long open-loop run at ~1.5x the shaped-fabric saturation with a bounded
-  // shed window: the run must terminate (no admission deadlock), the
-  // per-destination queue must never exceed its bound, and the request
-  // accounting must balance exactly — generated == accepted + shed and
-  // accepted == completed + deadline drops.
-  loadgen::Params params;
-  params.parcelport = "lci_psr_cq_pin_i_shed32";
-  params.localities = 2;
-  params.workers = 2;
-  params.requests = 6000;  // ~1s of offered load at 6k req/s
-  params.arrival.rate_rps = 6000.0;
-  params.arrival.seed = 424242;
-  params.size_mix = loadgen::parse_size_mix("4096");
-  const loadgen::Result result = loadgen::run_open_loop(params);
-  EXPECT_TRUE(result.conserved);
-  EXPECT_EQ(result.generated, 6000u);
-  EXPECT_EQ(result.generated, result.accepted + result.shed);
-  EXPECT_EQ(result.accepted, result.completed + result.deadline_drops);
-  EXPECT_GT(result.shed, 0u);          // sustained overload must shed
-  EXPECT_LE(result.peak_queue_depth, 32);
-  EXPECT_GT(result.goodput_kps, 0.0);
-}
-
-TEST(OpenLoopSoak, BurstyOverloadConservesUnderShed) {
-  // Same soak with bunched (on/off) arrivals: within a burst the
-  // instantaneous rate is 4x the long-run rate, so the window slams shut
-  // and reopens repeatedly; the accounting must still balance.
-  loadgen::Params params;
-  params.parcelport = "lci_psr_cq_pin_i_shed16";
-  params.localities = 2;
-  params.workers = 2;
-  params.requests = 4000;
-  params.arrival.process = loadgen::ArrivalConfig::Process::kBurst;
-  params.arrival.rate_rps = 6000.0;
-  params.arrival.burst_duty = 0.25;
-  params.arrival.burst_on_ms = 2.0;
-  params.arrival.seed = 77;
-  params.size_mix = loadgen::parse_size_mix("4096");
-  const loadgen::Result result = loadgen::run_open_loop(params);
-  EXPECT_TRUE(result.conserved);
-  EXPECT_EQ(result.generated, result.accepted + result.shed);
-  EXPECT_EQ(result.accepted, result.completed + result.deadline_drops);
-  EXPECT_GT(result.shed, 0u);
-  EXPECT_LE(result.peak_queue_depth, 16);
 }
 
 TEST(HighThreadCount, OversubscribedWorkersStillCorrect) {
