@@ -337,8 +337,8 @@ std::atomic<int> g_coll_done{0};
 std::atomic<std::uint64_t> g_coll_elapsed_ns{0};
 amt::CollectiveGroup* g_coll_group = nullptr;
 
-// Byte-wise wrapping add: commutative and associative, so every algorithm
-// family produces identical results (exact under any combine order).
+// Byte-wise wrapping add: commutative and associative, so the result is
+// exact under any combine order.
 void coll_bench_combine(std::uint8_t* acc, const std::uint8_t* in,
                         std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -388,7 +388,7 @@ double run_collective_us(const CollBenchParams& params) {
       const common::Nanos t0 = common::now_ns();
       for (int i = 0; i < iters; ++i) {
         if (params.op == "allreduce") {
-          coll.allreduce(data, 1, &coll_bench_combine);
+          coll.allreduce(data, &coll_bench_combine);
         } else if (params.op == "broadcast") {
           coll.broadcast(0, data);
         } else if (params.op == "alltoall") {

@@ -120,7 +120,7 @@ double run_octo_steps_per_second(const OctoParams& params);
 // ---- collective rounds (docs/collectives.md ablation) ----
 
 struct CollBenchParams {
-  std::string parcelport;  // may carry a coll<ALGO> token
+  std::string parcelport;
   std::string platform = "expanse";
   std::uint32_t localities = 4;
   unsigned workers = 2;

@@ -58,18 +58,6 @@ ParcelportConfig ParcelportConfig::parse(const std::string& name) {
             " bytes (the minimum one-parcel batch frame): " + name);
       }
       config.lci_agg = static_cast<long>(cap);
-    } else if (token.size() > 4 && token.compare(0, 4, "coll") == 0) {
-      const std::string algo = token.substr(4);
-      if (algo == "auto") {
-        config.coll.clear();
-      } else if (algo == "central" || algo == "tree" || algo == "rd" ||
-                 algo == "ring") {
-        config.coll = algo;
-      } else {
-        throw std::invalid_argument(
-            "collective algorithm must be auto, central, tree, rd, or "
-            "ring: " + name);
-      }
     } else if (token.size() > 7 && token.compare(0, 7, "backend") == 0) {
       config.fabric_backend = token.substr(7);
       fabric::validate_backend_name(config.fabric_backend);
@@ -122,7 +110,6 @@ std::string ParcelportConfig::name() const {
     }
   }
   if (send_immediate) out += "_i";
-  if (!coll.empty()) out += "_coll" + coll;
   if (fabric_backend != "sim") out += "_backend" + fabric_backend;
   if (admission.on()) out += "_block" + std::to_string(admission.window);
   return out;

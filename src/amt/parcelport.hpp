@@ -76,13 +76,6 @@ struct ParcelportConfig {
   /// bound). Applies to every backend.
   AdmissionConfig admission;
 
-  /// Collective algorithm family, from a coll<ALGO> token: "central",
-  /// "tree", "rd", or "ring" force that family where the op has a member
-  /// of it (see amt::select_algorithm); "" = auto (payload size x locality
-  /// count selection, the default — omitted from name()). Applies to every
-  /// backend.
-  std::string coll;
-
   /// Fabric transport backend, from a backendsim / backendshm token: "sim"
   /// (the simulated fabric, the default — omitted from name()) or "shm"
   /// (the real POSIX shared-memory fabric). Orthogonal to `kind`: every

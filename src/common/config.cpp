@@ -112,20 +112,6 @@ const std::vector<Knob>& knob_registry() {
        "bench_overhead_probe, run with AMTNET_TELEMETRY=0"},
       {Kind::kEnv, "AMTNET_TRACE_FILE", "bench_profile_trace.json",
        "where bench_profile writes its Chrome trace", "bench_profile"},
-      // -- collectives (CollectiveGroup algorithm selection) --
-      {Kind::kEnv, "AMTNET_COLL_SEG_BYTES", "8192",
-       "segment size for the pipelined binomial broadcast (store-and-"
-       "forward pipelining above the large-payload crossover)",
-       "test_collectives"},
-      {Kind::kEnv, "AMTNET_COLL_LARGE_BYTES", "16384",
-       "small/large payload crossover: above it broadcast pipelines "
-       "segments and allreduce switches from recursive doubling to the "
-       "ring (bandwidth-optimal) algorithm",
-       "test_collectives"},
-      {Kind::kEnv, "AMTNET_COLL_WINDOW", "16",
-       "bounded round-window slot count for in-flight collective epochs "
-       "(each slot is an independently locked shard; minimum 2)",
-       "test_collectives"},
       {Kind::kEnv, "AMTNET_LCI_PACKET_POOL", "4096",
        "send-side packet-pool size in minilci (a pool of 1 forces fast-path "
        "pool exhaustion — the credit-conservation regression setup)",
@@ -218,10 +204,6 @@ const std::vector<Knob>& knob_registry() {
        "waits (running tasks and progress). Its depth is the aggregation "
        "engine's backpressure signal",
        "ablation_aggregation"},
-      {Kind::kConfigToken, "coll<ALGO>", "auto",
-       "collective algorithm family for CollectiveGroup ops (collcentral | "
-       "colltree | collrd | collring | collauto); applies to every backend",
-       "ablation_collectives"},
       {Kind::kConfigToken, "fine", "off (coarse)",
        "fine-grained progress lock in the MPI/UCX layer",
        "ablation_mpi_lock"},

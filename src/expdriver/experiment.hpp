@@ -58,8 +58,7 @@ struct PointSpec {
   unsigned window = 1;              // latency chains
   unsigned workers = 0;             // 0 = environment default
   // coll shape (reuses msg_size as the payload/per-rank block and
-  // base_steps as the back-to-back round count; the algorithm family rides
-  // in the parcelport name's coll<ALGO> token).
+  // base_steps as the back-to-back round count).
   std::string coll_op = "allreduce";  // allreduce|broadcast|alltoall|barrier
   // fft shape: transform size = fft_dim * fft_dim points, distributed over
   // `localities`; base_steps transforms per run.

@@ -772,8 +772,10 @@ TEST(ParcelportConfigTest, RemovedEngineTokensRejected) {
   // caller polls the device, and there is one rendezvous table. Admission
   // has one policy (block<N>), so shed<N> and dl<N> name nothing, and
   // aggregation is off unless agg<N> is given, so aggoff names nothing.
+  // Each collective has one algorithm, so no coll<ALGO> family exists.
   for (const char* token :
-       {"pd4", "pdinf", "pt2", "ptinf", "rs1", "shed8", "dl512", "aggoff"}) {
+       {"pd4", "pdinf", "pt2", "ptinf", "rs1", "shed8", "dl512", "aggoff",
+        "collcentral", "colltree", "collrd", "collring", "collauto"}) {
     try {
       amt::ParcelportConfig::parse(std::string("lci_psr_cq_pin_") + token);
       ADD_FAILURE() << token << " was accepted";

@@ -241,16 +241,17 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------- tree collectives over a lossy wire ----------------------
 
 // The log-depth collectives relay payloads through intermediate ranks
-// (binomial forwarding), so one dropped datagram stalls a whole subtree
-// until the retransmit machinery recovers it. Forced-tree rounds under 1%
-// drop + duplicates must still complete byte-exactly: duplicates must not
-// double-apply a reduction contribution, and recovery must not reorder a
-// round's segments.
+// (binomial forwarding, the recursive-doubling fold), so one dropped
+// datagram stalls a whole subtree until the retransmit machinery recovers
+// it. Rounds under 1% drop + duplicates must still complete byte-exactly:
+// duplicates must not double-apply a reduction contribution, and recovery
+// must not hand a relayed payload to the wrong round. Five ranks exercise
+// the non-power-of-two fold; the rotating root moves the tree.
 TEST(ChaosCollectives, TreeRoundsCompleteExactlyUnderDrops) {
   for (const std::uint64_t seed : chaos_seeds()) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     StackOptions options;
-    options.parcelport = "lci_psr_cq_pin_i_colltree";
+    options.parcelport = "lci_psr_cq_pin_i";
     options.num_localities = 5;
     options.threads_per_locality = 2;
     options.platform = "loopback";
@@ -259,7 +260,6 @@ TEST(ChaosCollectives, TreeRoundsCompleteExactlyUnderDrops) {
     options.faults.seed = seed;
     auto runtime = amtnet::make_runtime(options);
     amt::CollectiveGroup group(*runtime);
-    ASSERT_EQ(group.tuning().force, "tree");
 
     std::atomic<int> wrong{0};
     Latch done(5);
@@ -271,9 +271,8 @@ TEST(ChaosCollectives, TreeRoundsCompleteExactlyUnderDrops) {
             data[i] = static_cast<std::uint8_t>(r + i + round);
           }
           group.allreduce(
-              data, 1,
-              +[](std::uint8_t* acc, const std::uint8_t* in,
-                  std::size_t bytes) {
+              data, +[](std::uint8_t* acc, const std::uint8_t* in,
+                        std::size_t bytes) {
                 for (std::size_t i = 0; i < bytes; ++i) acc[i] += in[i];
               });
           for (std::size_t i = 0; i < data.size(); ++i) {
@@ -284,6 +283,14 @@ TEST(ChaosCollectives, TreeRoundsCompleteExactlyUnderDrops) {
               wrong.fetch_add(1);
               break;
             }
+          }
+          const amt::Rank root = round % 5;
+          std::vector<std::uint8_t> bcast;
+          if (r == root) bcast.assign(48, static_cast<std::uint8_t>(round));
+          group.broadcast(root, bcast);
+          if (bcast != std::vector<std::uint8_t>(
+                           48, static_cast<std::uint8_t>(round))) {
+            wrong.fetch_add(1);
           }
         }
         done.count_down();

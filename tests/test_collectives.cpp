@@ -1,17 +1,13 @@
 // Tests for the action-based collectives: barrier ordering, allreduce
 // correctness, broadcast, repeated rounds, and operation over every
-// parcelport kind; plus the log-depth algorithm families (binomial tree,
-// recursive doubling, ring, pairwise) against centralised references on
-// non-power-of-two locality counts, the bounded round window under
-// out-of-order epoch arrival, the pipelined large-payload paths, the
-// selection-model-vs-docs cross-check, and TSan-targetable stress floods.
+// parcelport kind; the log-depth algorithms against locally computed
+// references on non-power-of-two locality counts and zero-copy payloads,
+// the bounded round window under out-of-order epoch arrival, the
+// fail-fast group invariants, and TSan-targetable stress floods.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -65,33 +61,9 @@ CollectiveGroup::Bytes u32_pattern(std::uint32_t rank, std::size_t words,
   return data;
 }
 
-/// RAII environment override that restores the previous value on scope exit
-/// (the tests mutate AMTNET_COLL_* knobs between runtime spins only).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const std::string& value) : name_(name) {
-    const char* prev = std::getenv(name);
-    had_prev_ = prev != nullptr;
-    if (had_prev_) prev_ = prev;
-    ::setenv(name, value.c_str(), 1);
-  }
-  ~ScopedEnv() {
-    if (had_prev_) {
-      ::setenv(name_, prev_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_prev_ = false;
-  std::string prev_;
-};
-
 /// Runs one round of every byte-span collective on every rank and checks
-/// the results against locally computed references. Exercises whatever
-/// algorithm family the group's tuning selects.
+/// the results against locally computed references. The broadcast uses a
+/// non-zero root so the binomial tree's root-relative rotation runs.
 void exercise_all_ops(amt::Runtime& runtime, CollectiveGroup& group,
                       std::size_t words, std::atomic<int>& wrong) {
   const amt::Rank n = runtime.num_localities();
@@ -101,35 +73,21 @@ void exercise_all_ops(amt::Runtime& runtime, CollectiveGroup& group,
     const auto contrib = u32_pattern(r, words);
     add_u32(sum_ref.data(), contrib.data(), sum_ref.size());
   }
-  CollectiveGroup::Bytes gather_ref;
-  for (amt::Rank r = 0; r < n; ++r) {
-    const auto part = u32_pattern(r, words);
-    gather_ref.insert(gather_ref.end(), part.begin(), part.end());
-  }
   on_all(runtime, [&] {
     const amt::Rank rank = amt::here().rank();
     const amt::Rank n_ranks = group.size();
     const std::size_t bytes = words * 4;
 
     auto mine = u32_pattern(rank, words);
-    group.allreduce(mine, 4, &add_u32);
+    group.allreduce(mine, &add_u32);
     if (mine != sum_ref) wrong.fetch_add(1);
 
-    auto red = u32_pattern(rank, words);
-    group.reduce(1 % n_ranks, red, 4, &add_u32);
-    if (rank == 1 % n_ranks && red != sum_ref) wrong.fetch_add(1);
-
-    auto bc = rank == 0 ? u32_pattern(7, words) : CollectiveGroup::Bytes{};
-    group.broadcast(0, bc);
+    const amt::Rank root = 1 % n_ranks;
+    auto bc = rank == root ? u32_pattern(7, words) : CollectiveGroup::Bytes{};
+    group.broadcast(root, bc);
     if (bc != u32_pattern(7, words)) wrong.fetch_add(1);
 
-    const auto mine_block =
-        group.scatter(0, rank == 0 ? gather_ref : CollectiveGroup::Bytes{},
-                      bytes);
-    if (mine_block != u32_pattern(rank, words)) wrong.fetch_add(1);
-
-    const auto gathered = group.gather(0, u32_pattern(rank, words));
-    if (rank == 0 && gathered != gather_ref) wrong.fetch_add(1);
+    group.barrier();
 
     // all_to_all: rank r sends block salted by destination; block i of the
     // result must be rank i's block salted by *this* rank.
@@ -230,35 +188,29 @@ INSTANTIATE_TEST_SUITE_P(Backends, Collectives,
                            return std::string(i.param);
                          });
 
-// Every algorithm family against the centralised references on
-// non-power-of-two locality counts (the binomial/rd/ring non-pow2 special
-// cases: vrank rotation, the pre/post fold of the 2*rem ranks, uneven ring
-// chunks), across every parcelport variant. The family is forced through
-// the same coll<ALGO> config token users would write, one runtime each.
-TEST_P(Collectives, NonPowerOfTwoEveryAlgorithmFamily) {
+// Non-power-of-two locality counts on every parcelport variant: the
+// recursive-doubling fold of the 2*rem ranks, the binomial tree's vrank
+// rotation and partial subtrees, and the ring-shift all-to-all.
+TEST_P(Collectives, NonPowerOfTwoLocalityCounts) {
   for (const amt::Rank n : {amt::Rank{3}, amt::Rank{5}, amt::Rank{9}}) {
-    for (const char* force : {"auto", "central", "tree", "rd", "ring"}) {
-      amtnet::StackOptions options;
-      options.parcelport = std::string(GetParam()) + "_coll" + force;
-      options.num_localities = n;
-      options.threads_per_locality = 1;
-      SCOPED_TRACE(options.parcelport + " n=" + std::to_string(n));
-      auto runtime = amtnet::make_runtime(options);
-      CollectiveGroup group(*runtime);
-      EXPECT_EQ(group.tuning().force,
-                std::string(force) == "auto" ? "" : force);
-      std::atomic<int> wrong{0};
-      exercise_all_ops(*runtime, group, 16, wrong);
-      EXPECT_EQ(wrong.load(), 0);
-      runtime->stop();
-    }
+    amtnet::StackOptions options;
+    options.parcelport = GetParam();
+    options.num_localities = n;
+    options.threads_per_locality = 1;
+    SCOPED_TRACE(options.parcelport + " n=" + std::to_string(n));
+    auto runtime = amtnet::make_runtime(options);
+    CollectiveGroup group(*runtime);
+    std::atomic<int> wrong{0};
+    exercise_all_ops(*runtime, group, 16, wrong);
+    EXPECT_EQ(wrong.load(), 0);
+    runtime->stop();
   }
 }
 
 // 33 localities (past the 32-rank binomial span boundary, non power of
-// two): the auto-selected log-depth algorithms must agree with the
-// references at a width no earlier test reaches.
-TEST(CollectivesWide, ThirtyThreeLocalitiesAutoSelection) {
+// two): the algorithms must agree with the references at a width no
+// earlier test reaches.
+TEST(CollectivesWide, ThirtyThreeLocalities) {
   amtnet::StackOptions options;
   options.parcelport = "lci_psr_cq_pin_i";
   options.num_localities = 33;
@@ -271,39 +223,37 @@ TEST(CollectivesWide, ThirtyThreeLocalitiesAutoSelection) {
   runtime->stop();
 }
 
-// Payloads above AMTNET_COLL_LARGE_BYTES take the pipelined/segmented
-// paths: segmented binomial broadcast (segment size forced small so many
-// segments pipeline down the tree) and ring allreduce with uneven
-// elem-aligned chunks. Byte-exact against the same references.
-TEST(CollectivesLargePayload, SegmentedBroadcastAndRingAllreduce) {
-  ScopedEnv seg("AMTNET_COLL_SEG_BYTES", "512");
-  ScopedEnv large("AMTNET_COLL_LARGE_BYTES", "4096");
+// Payloads above the zero-copy threshold: every collective message travels
+// as a zero-copy chunk, relayed through the binomial tree and combined
+// through the recursive-doubling fold at n=5. Byte-exact against the same
+// references.
+TEST(CollectivesLargePayload, ZeroCopyPayloadsAtFiveLocalities) {
   amtnet::StackOptions options;
   options.parcelport = "lci_psr_cq_pin_i";
   options.num_localities = 5;
   options.threads_per_locality = 2;
   auto runtime = amtnet::make_runtime(options);
   CollectiveGroup group(*runtime);
-  ASSERT_EQ(group.tuning().seg_bytes, 512u);
-  ASSERT_EQ(group.tuning().large_bytes, 4096u);
   std::atomic<int> wrong{0};
-  // 5000 words = 20000 B: above the crossover, not segment-aligned, and not
-  // divisible by the 5-rank ring (so chunks are uneven).
+  // 5000 words = 20000 B per payload and per all-to-all block.
+  ASSERT_GT(5000u * 4, runtime->config().zero_copy_threshold);
   exercise_all_ops(*runtime, group, 5000, wrong);
   EXPECT_EQ(wrong.load(), 0);
   runtime->stop();
 }
 
-// Regression shape for the unbounded-round-state hazard of the former
-// implementation (one SpinMutex'd map keyed by epoch, cleaned only when
-// leavers drained): a 4-rail fabric reorders packets across rails, and a
-// tight AMTNET_COLL_WINDOW=2 means an epoch-(e+2) arrival MUST park until
-// slot (e % 2) recycles — if recycling or the out-of-order tagging were
-// wrong, a stale arrival would corrupt a later round or trip the
-// receipt-complete assert. Distinct payloads per epoch catch cross-epoch
-// mixups byte-exactly.
+// The bounded round window under out-of-order epoch arrival: a 4-rail
+// fabric reorders packets across rails, and one leaf rank is held back
+// before its first round, so no slot can recycle. The root runs
+// kRoundWindow broadcasts ahead, then releases the leaf just before the
+// next one; that broadcast's epoch maps onto the slot still holding the
+// leaf's first round, so the root MUST park until the leaf leaves it. If
+// recycling or the epoch tagging were wrong, a stale arrival would corrupt
+// a later round or fail the recycle check. Distinct payloads per epoch
+// catch cross-epoch mixups byte-exactly.
 TEST(CollectivesWindow, OutOfOrderEpochArrivalUnderRailReordering) {
-  ScopedEnv window("AMTNET_COLL_WINDOW", "2");
+  constexpr std::uint32_t kWindow = CollectiveGroup::kRoundWindow;
+  constexpr amt::Rank kLeaf = 3;  // vrank 3 of root 0: child of rank 2
   amtnet::StackOptions options;
   options.parcelport = "lci_psr_cq_pin_i";
   options.num_localities = 4;
@@ -311,78 +261,109 @@ TEST(CollectivesWindow, OutOfOrderEpochArrivalUnderRailReordering) {
   options.fabric_rails = 4;
   auto runtime = amtnet::make_runtime(options);
   CollectiveGroup group(*runtime);
-  ASSERT_EQ(group.tuning().window, 2u);
+  std::atomic<bool> release{false};
+  std::atomic<bool> root_past_window{false};
   std::atomic<int> wrong{0};
+  std::atomic<int> overran{0};
   on_all(*runtime, [&] {
     const amt::Rank rank = amt::here().rank();
-    for (std::uint32_t round = 0; round < 60; ++round) {
-      auto data = rank == round % 4
-                      ? u32_pattern(99, 12, round)
-                      : CollectiveGroup::Bytes{};
-      group.broadcast(round % 4, data);
-      if (data != u32_pattern(99, 12, round)) wrong.fetch_add(1);
+    if (rank == kLeaf) {
+      amt::here().scheduler().wait_until([&] { return release.load(); });
+      // The root's (kWindow+1)-th round reuses the slot of the leaf's first
+      // round, so it cannot finish before the leaf has even started.
+      if (root_past_window.load()) overran.fetch_add(1);
     }
+    for (std::uint32_t round = 0; round < 60; ++round) {
+      if (rank == 0 && round == kWindow) release.store(true);
+      auto data = rank == 0 ? u32_pattern(99, 12, round)
+                            : CollectiveGroup::Bytes{};
+      group.broadcast(0, data);
+      if (data != u32_pattern(99, 12, round)) wrong.fetch_add(1);
+      if (rank == 0 && round == kWindow) root_past_window.store(true);
+    }
+  });
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(overran.load(), 0);
+  runtime->stop();
+}
+
+// ---- group invariants fail fast in every build --------------------------
+
+TEST(CollectiveGroupLimits, MoreThanSixtyFourLocalitiesRejected) {
+  amtnet::StackOptions options;
+  options.parcelport = "lci_psr_cq_pin_i";
+  options.num_localities = CollectiveGroup::kMaxRanks + 1;
+  options.threads_per_locality = 1;
+  // Never started: the group only reads the locality count, so no worker
+  // or progress thread is spawned for the 65 localities.
+  amt::Runtime runtime(amtnet::make_runtime_config(options),
+                       amtnet::default_parcelport_factory());
+  EXPECT_THROW(CollectiveGroup group(runtime), std::invalid_argument);
+}
+
+TEST(CollectiveGroupLimits, SecondLiveGroupRejected) {
+  amtnet::StackOptions options;
+  options.parcelport = "lci_psr_cq_pin_i";
+  options.num_localities = 2;
+  options.threads_per_locality = 1;
+  auto runtime = amtnet::make_runtime(options);
+  {
+    CollectiveGroup first(*runtime);
+    EXPECT_THROW(CollectiveGroup second(*runtime), std::invalid_argument);
+  }
+  // The rejected constructor left the slots alone; once the first group is
+  // gone a new one registers and works.
+  CollectiveGroup again(*runtime);
+  std::atomic<int> wrong{0};
+  on_all(*runtime, [&] {
+    if (again.allreduce_sum(1.0) != 2.0) wrong.fetch_add(1);
   });
   EXPECT_EQ(wrong.load(), 0);
   runtime->stop();
 }
 
-// docs/collectives.md embeds the generated selection table between
-// machine-readable markers; this cross-check keeps the documented model and
-// select_algorithm() from drifting apart (the acceptance bar of the PR that
-// introduced the log-depth families).
-TEST(CollectiveSelectionDocs, TableMatchesImplementation) {
-  const std::string path =
-      std::string(AMTNET_REPO_ROOT) + "/docs/collectives.md";
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "missing " << path;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string doc = buffer.str();
-  const std::string begin_marker = "<!-- selection-table:begin -->\n";
-  const std::string end_marker = "<!-- selection-table:end -->";
-  const std::size_t begin = doc.find(begin_marker);
-  const std::size_t end = doc.find(end_marker);
-  ASSERT_NE(begin, std::string::npos);
-  ASSERT_NE(end, std::string::npos);
-  const std::string embedded =
-      doc.substr(begin + begin_marker.size(),
-                 end - begin - begin_marker.size());
-  EXPECT_EQ(embedded, amt::collective_selection_table_markdown())
-      << "docs/collectives.md selection table is stale; regenerate from "
-         "collective_selection_table_markdown():\n"
-      << amt::collective_selection_table_markdown();
+// A message for an epoch whose slot already serves a newer epoch can never
+// be delivered; waiting for the slot would hang, so it aborts instead.
+TEST(CollectiveGroupDeathTest, StaleEpochArrivalFailsFast) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        amtnet::StackOptions options;
+        options.parcelport = "lci_psr_cq_pin_i";
+        options.num_localities = 2;
+        options.threads_per_locality = 1;
+        auto runtime = amtnet::make_runtime(options);
+        CollectiveGroup group(*runtime);
+        on_all(*runtime, [&] {
+          if (amt::here().rank() != 0) return;
+          const std::uint64_t newer = 1 + CollectiveGroup::kRoundWindow;
+          group.on_msg(newer, 0, 1, CollectiveGroup::Bytes{});
+          group.on_msg(1, 0, 1, CollectiveGroup::Bytes{});
+        });
+      },
+      "INTEGRITY FAILURE: collective epoch 1 arrived after its slot was "
+      "recycled for epoch 17");
 }
 
-// Selection honours the forced family where the op has a member and falls
-// back to auto where it does not (a forced ring changes allreduce but not
-// broadcast); spot-check the documented auto crossovers too.
-TEST(CollectiveSelection, ForcedFamiliesAndAutoCrossovers) {
-  amt::CollTuning t;  // defaults: seg 8192, large 16384, auto
-  using amt::CollAlgo;
-  using amt::CollOp;
-  EXPECT_EQ(amt::select_algorithm(CollOp::kAllreduce, 8, 2, t),
-            CollAlgo::kCentral);  // n < 4: not worth the tree
-  EXPECT_EQ(amt::select_algorithm(CollOp::kAllreduce, 8, 8, t),
-            CollAlgo::kRecursiveDoubling);
-  EXPECT_EQ(amt::select_algorithm(CollOp::kAllreduce, 65536, 8, t),
-            CollAlgo::kRing);
-  EXPECT_EQ(amt::select_algorithm(CollOp::kBroadcast, 8, 8, t),
-            CollAlgo::kBinomial);
-  EXPECT_EQ(amt::select_algorithm(CollOp::kBroadcast, 65536, 8, t),
-            CollAlgo::kBinomialPipelined);
-  EXPECT_EQ(amt::select_algorithm(CollOp::kBarrier, 0, 8, t),
-            CollAlgo::kDissemination);
-  t.force = "ring";
-  EXPECT_EQ(amt::select_algorithm(CollOp::kAllreduce, 8, 8, t),
-            CollAlgo::kRing);
-  EXPECT_EQ(amt::select_algorithm(CollOp::kBroadcast, 8, 8, t),
-            CollAlgo::kBinomial);  // ring has no broadcast member -> auto
-  t.force = "central";
-  EXPECT_EQ(amt::select_algorithm(CollOp::kAllreduce, 65536, 16, t),
-            CollAlgo::kCentral);
-  EXPECT_THROW(amt::coll_tuning_from_environment("bogus"),
-               std::invalid_argument);
+// A round whose slot still holds a message when every rank has left broke
+// receipt-completeness; recycling it would hand the message to a later
+// round.
+TEST(CollectiveGroupDeathTest, UnconsumedMessageAtRecycleFailsFast) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        amtnet::StackOptions options;
+        options.parcelport = "lci_psr_cq_pin_i";
+        options.num_localities = 2;
+        options.threads_per_locality = 1;
+        auto runtime = amtnet::make_runtime(options);
+        CollectiveGroup group(*runtime);
+        runtime->locality(0).spawn([&] {
+          group.on_msg(1, 12345, 1, CollectiveGroup::Bytes{});
+        });
+        on_all(*runtime, [&] { group.barrier(); });
+      },
+      "INTEGRITY FAILURE: collective epoch 1 recycled with 1 unconsumed");
 }
 
 // ---- TSan-targetable stress floods (CI runs --gtest_filter=CollectiveStress.*)
@@ -403,7 +384,7 @@ TEST(CollectiveStress, MixedOpsFloodManyWorkers) {
     const amt::Rank rank = amt::here().rank();
     for (std::uint32_t round = 0; round < 40; ++round) {
       auto data = u32_pattern(rank, 8, round);
-      group.allreduce(data, 4, &add_u32);
+      group.allreduce(data, &add_u32);
       CollectiveGroup::Bytes expect = u32_pattern(0, 8, round);
       for (amt::Rank r = 1; r < 4; ++r) {
         const auto c = u32_pattern(r, 8, round);
@@ -421,12 +402,10 @@ TEST(CollectiveStress, MixedOpsFloodManyWorkers) {
   runtime->stop();
 }
 
-// The segmented ring/pipelined paths under the same concurrency: large
-// payloads cross the zero-copy threshold, so chunk hand-off also races
-// with the rendezvous machinery.
-TEST(CollectiveStress, SegmentedLargePayloadFlood) {
-  ScopedEnv seg("AMTNET_COLL_SEG_BYTES", "1024");
-  ScopedEnv large("AMTNET_COLL_LARGE_BYTES", "2048");
+// Zero-copy payloads under the same concurrency: 12000 B cross the
+// zero-copy threshold, so the recursive-doubling hand-off also races with
+// the rendezvous machinery.
+TEST(CollectiveStress, LargePayloadFlood) {
   amtnet::StackOptions options;
   options.parcelport = "lci_psr_cq_mt_i";
   options.num_localities = 3;
@@ -438,7 +417,7 @@ TEST(CollectiveStress, SegmentedLargePayloadFlood) {
     const amt::Rank rank = amt::here().rank();
     for (std::uint32_t round = 0; round < 10; ++round) {
       auto data = u32_pattern(rank, 3000, round);
-      group.allreduce(data, 4, &add_u32);
+      group.allreduce(data, &add_u32);
       CollectiveGroup::Bytes expect = u32_pattern(0, 3000, round);
       for (amt::Rank r = 1; r < 3; ++r) {
         const auto c = u32_pattern(r, 3000, round);
