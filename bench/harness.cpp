@@ -94,6 +94,7 @@ RateResult run_message_rate(const RateParams& params) {
   options.zero_copy_threshold = params.zero_copy_threshold;
   options.max_connections = params.max_connections;
   options.fabric_rails = params.fabric_rails;
+  options.faults = params.faults;
   amt::RuntimeConfig config = amtnet::make_runtime_config(options);
   if (params.bandwidth_gbps > 0.0 || params.latency_us > 0.0 ||
       params.pkt_rate_mpps > 0.0) {
@@ -179,22 +180,6 @@ RateResult run_message_rate(const RateParams& params) {
       static_cast<double>(total) / std::max(injection_s, 1e-9);
   result.message_rate = static_cast<double>(total) / std::max(total_s, 1e-9);
   return result;
-}
-
-double report_rate_point(const RateParams& params, int runs) {
-  std::vector<double> rates, injections;
-  for (int run = 0; run < runs; ++run) {
-    const auto result = run_message_rate(params);
-    rates.push_back(result.message_rate / 1e3);
-    injections.push_back(result.achieved_injection_rate / 1e3);
-  }
-  const auto rate = stats_of(rates);
-  const auto injection = stats_of(injections);
-  std::printf("%s,%.1f,%.1f,%.1f,%.1f\n", params.parcelport.c_str(),
-              params.attempted_rate / 1e3, injection.mean, rate.mean,
-              rate.stddev);
-  std::fflush(stdout);
-  return rate.mean;
 }
 
 // ---- latency -------------------------------------------------------------

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "expdriver/experiment.hpp"
+#include "fabric/fault.hpp"
 #include "telemetry/registry.hpp"
 
 namespace amt {
@@ -71,6 +72,8 @@ struct RateParams {
   double bandwidth_gbps = 0.0;
   double latency_us = 0.0;
   double pkt_rate_mpps = 0.0;
+  // Injected faults (the chaos suite); default-constructed = none.
+  fabric::FaultConfig faults;
 };
 
 struct RateResult {
@@ -79,11 +82,6 @@ struct RateResult {
 };
 
 RateResult run_message_rate(const RateParams& params);
-
-/// Repeats the rate benchmark and prints one CSV row:
-/// config,attempted_K/s,injection_K/s,rate_K/s,rate_stddev_K/s
-/// Returns the mean message rate (K/s).
-double report_rate_point(const RateParams& params, int runs);
 
 // ---- latency (Figures 7-9) ----
 

@@ -665,9 +665,7 @@ SuiteSpec ablation_aggregation() {
     const char* tokens;  // appended between the variant and "_i_block64"
   };
   const std::vector<Mode> modes = {
-      {"bypass", "_fpoff"},
-      {"fponly", "_fp"},
-      {"adaptive", "_fp_agg8192_aggt200"}};
+      {"bypass", "_fpoff"}, {"fponly", ""}, {"adaptive", "_agg"}};
   const std::vector<const char*> variants = {"psr_cq_pin", "psr_cq_mt",
                                              "sr_cq_mt"};
   for (const char* variant : variants) {
@@ -911,7 +909,7 @@ SuiteSpec ablation_fastpath() {
     const char* label;
     const char* token;
   };
-  for (const Mode& mode : {Mode{"on", "_fp"}, Mode{"off", "_fpoff"}}) {
+  for (const Mode& mode : {Mode{"on", ""}, Mode{"off", "_fpoff"}}) {
     for (const char* variant : variants) {
       const std::string config =
           "lci_" + std::string(variant) + mode.token + "_i";
@@ -1094,6 +1092,56 @@ SuiteSpec ablation_backend() {
   return s;
 }
 
+SuiteSpec chaos() {
+  SuiteSpec s;
+  s.name = "chaos";
+  s.figure = "robustness sweep";
+  s.title = "8B message rate under injected drop/duplicate/corrupt faults";
+  s.expectation =
+      "integrity-only (CRC trailers, acks and retransmit tracking on a "
+      "polite wire) prices the protocol alone; the rate degrades as drop = "
+      "dup = corrupt rise to 5%, and every point still delivers every "
+      "message (a lost one would hang the run, a duplicate aborts it)";
+  struct Regime {
+    const char* label;
+    double fault_rate;  // drop = duplicate = corrupt probability
+    bool integrity;
+  };
+  for (const char* config : {"lci_psr_cq_pin_i", "mpi_i"}) {
+    for (const Regime& regime : {Regime{"clean", 0.0, false},
+                                 Regime{"integrity", 0.0, true},
+                                 Regime{"faults_1pct", 0.01, false},
+                                 Regime{"faults_3pct", 0.03, false},
+                                 Regime{"faults_5pct", 0.05, false}}) {
+      PointSpec p = rate_point(config, 8, 100, 20000, 0.0);
+      p.fault_rate = regime.fault_rate;
+      p.fault_integrity = regime.integrity;
+      p.labels["regime"] = regime.label;
+      s.points.push_back(std::move(p));
+    }
+  }
+  // The injected faults and the retransmits that recovered them.
+  s.probes = {{"faults_dropped", "fabric/", "/faults_dropped"},
+              {"faults_duplicated", "fabric/", "/faults_duplicated"},
+              {"faults_corrupted", "fabric/", "/faults_corrupted"},
+              {"retransmits", "reliable/", "/retransmits"}};
+  return s;
+}
+
+SuiteSpec overhead() {
+  SuiteSpec s;
+  s.name = "overhead";
+  s.figure = "telemetry overhead";
+  s.title = "unlimited 8B flood on lci_psr_cq_pin_i, the fastest config";
+  s.expectation =
+      "run three times: as built, with AMTNET_TELEMETRY=0, and from a "
+      "-DAMTNET_TELEMETRY_DISABLED build. Timers are sampled (1 operation "
+      "in 16), so the as-built rate stays within ~5% of the disabled build, "
+      "and AMTNET_TELEMETRY=0 within noise of it";
+  s.points.push_back(rate_point("lci_psr_cq_pin_i", 8, 100, 20000, 0.0));
+  return s;
+}
+
 }  // namespace
 
 void register_all() {
@@ -1121,6 +1169,8 @@ void register_all() {
     registry.add(ablation_collectives());
     registry.add(ablation_backend());
     registry.add(fft());
+    registry.add(chaos());
+    registry.add(overhead());
     return true;
   }();
   (void)registered;
@@ -1158,6 +1208,10 @@ expdriver::PointRunner make_harness_runner(const SuiteSpec& spec) {
         params.bandwidth_gbps = p.rate_bandwidth_gbps;
         params.latency_us = p.rate_latency_us;
         params.pkt_rate_mpps = p.rate_pkt_mpps;
+        params.faults.drop = params.faults.duplicate =
+            params.faults.corrupt = p.fault_rate;
+        params.faults.integrity = p.fault_integrity;
+        params.faults.seed = 12345;  // the same fault pattern in every run
         const RateResult result = run_message_rate(params);
         sample.push_back(
             {"injection_kps", result.achieved_injection_rate / 1e3});

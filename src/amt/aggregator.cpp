@@ -102,7 +102,6 @@ bool Aggregator::flush_buffers(FlushReason reason, bool aged_only,
 }
 
 bool Aggregator::poll(common::Nanos now) {
-  if (age_ns_ <= 0) return false;
   return flush_buffers(FlushReason::kAge, /*aged_only=*/true, now);
 }
 

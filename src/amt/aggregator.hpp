@@ -1,4 +1,4 @@
-// Adaptive per-destination parcel aggregation (ROADMAP item 3): coalesces
+// Adaptive per-destination parcel aggregation: coalesces
 // sub-threshold parcels bound for the same destination into one multi-parcel
 // frame (wire_header.hpp's small-parcel frame, which the single-parcel fast
 // path sends with count 1), trading a little latency for a large
@@ -59,8 +59,7 @@ class Aggregator {
                          FlushReason reason)>;
 
   /// `max_bytes` caps the projected batch frame size (size trigger);
-  /// `age_ns` is the oldest-entry flush deadline (0 disables the age
-  /// trigger — size/idle/final still apply).
+  /// `age_ns` is the oldest-entry flush deadline (age trigger).
   Aggregator(Rank num_ranks, std::size_t max_bytes, common::Nanos age_ns,
              FlushFn flush);
 
@@ -90,9 +89,6 @@ class Aggregator {
 
   /// Final drain for Parcelport::stop().
   void flush_all();
-
-  std::size_t max_bytes() const { return max_bytes_; }
-  common::Nanos age_ns() const { return age_ns_; }
 
   /// Lock-free: true when no parcel is buffered anywhere. Lets the idle
   /// polling loop skip the clock read and the per-destination scan that

@@ -11,6 +11,8 @@
 #include <memory>
 #include <vector>
 
+#include "common/integrity.hpp"
+
 namespace amt {
 
 using Rank = std::uint32_t;
@@ -58,13 +60,31 @@ struct InMessage {
   std::vector<std::vector<std::byte>> zchunks;
 };
 
-/// Decodes a received transmission chunk back into chunk sizes.
+/// Largest main chunk or zero-copy chunk a receiver accepts from a peer's
+/// header or transmission chunk. A declared size above it is hostile or
+/// corrupt, and is rejected before any receive buffer is sized from it.
+inline constexpr std::uint64_t kMaxPieceBytes = std::uint64_t{1} << 30;
+
+/// Decodes a received transmission chunk back into chunk sizes. The chunk
+/// must hold exactly the `expected` sizes its header declared, each at most
+/// kMaxPieceBytes; anything else fails fast in every build type.
 inline std::vector<std::uint64_t> parse_tchunk(const std::byte* data,
-                                               std::size_t size) {
-  std::vector<std::uint64_t> sizes(size / sizeof(std::uint64_t));
+                                               std::size_t size,
+                                               std::size_t expected) {
+  if (size != expected * sizeof(std::uint64_t)) {
+    common::integrity_fail("transmission chunk of ", size,
+                           " bytes does not hold the ", expected,
+                           " zero-copy chunk sizes its header declared");
+  }
+  std::vector<std::uint64_t> sizes(expected);
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     std::memcpy(&sizes[i], data + i * sizeof(std::uint64_t),
                 sizeof(std::uint64_t));
+    if (sizes[i] > kMaxPieceBytes) {
+      common::integrity_fail("zero-copy chunk ", i, " declares ", sizes[i],
+                             " bytes, above the ", kMaxPieceBytes,
+                             " byte bound");
+    }
   }
   return sizes;
 }

@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "amt/wire_header.hpp"
 #include "common/config.hpp"
 
 namespace amt {
@@ -32,32 +31,10 @@ ParcelportConfig ParcelportConfig::parse(const std::string& name) {
       config.progress = ProgressType::kWorker;
     } else if (token == "i") {
       config.send_immediate = true;
-    } else if (token == "fp") {
-      config.lci_fastpath = 1;
     } else if (token == "fpoff") {
-      config.lci_fastpath = 0;
-    } else if (token.size() > 2 && token.compare(0, 2, "fp") == 0 &&
-               token.find_first_not_of("0123456789", 2) == std::string::npos) {
-      const unsigned long cap = std::stoul(token.substr(2));
-      if (cap < 2) {
-        throw std::invalid_argument(
-            "fast-path cap must be >= 2 bytes (use fpoff to disable): " +
-            name);
-      }
-      config.lci_fastpath = static_cast<long>(cap);
-    } else if (token.size() > 4 && token.compare(0, 4, "aggt") == 0 &&
-               token.find_first_not_of("0123456789", 4) == std::string::npos) {
-      config.lci_agg_age_us = static_cast<long>(std::stoul(token.substr(4)));
-    } else if (token.size() > 3 && token.compare(0, 3, "agg") == 0 &&
-               token.find_first_not_of("0123456789", 3) == std::string::npos) {
-      const unsigned long cap = std::stoul(token.substr(3));
-      if (cap < kMinAggFrameBytes) {
-        throw std::invalid_argument(
-            "aggregation cap must be >= " +
-            std::to_string(kMinAggFrameBytes) +
-            " bytes (the minimum one-parcel batch frame): " + name);
-      }
-      config.lci_agg = static_cast<long>(cap);
+      config.lci_fastpath = false;
+    } else if (token == "agg") {
+      config.lci_agg = true;
     } else if (token.size() > 7 && token.compare(0, 7, "backend") == 0) {
       config.fabric_backend = token.substr(7);
       fabric::validate_backend_name(config.fabric_backend);
@@ -97,17 +74,8 @@ std::string ParcelportConfig::name() const {
     out += (protocol == Protocol::kPutSendRecv) ? "_psr" : "_sr";
     out += (completion == CompType::kQueue) ? "_cq" : "_sy";
     out += (progress == ProgressType::kPinned) ? "_pin" : "_mt";
-    if (lci_fastpath == 0) {
-      out += "_fpoff";
-    } else if (lci_fastpath == 1) {
-      out += "_fp";
-    } else if (lci_fastpath > 1) {
-      out += "_fp" + std::to_string(lci_fastpath);
-    }
-    if (lci_agg > 0) out += "_agg" + std::to_string(lci_agg);
-    if (lci_agg_age_us >= 0) {
-      out += "_aggt" + std::to_string(lci_agg_age_us);
-    }
+    if (!lci_fastpath) out += "_fpoff";
+    if (lci_agg) out += "_agg";
   }
   if (send_immediate) out += "_i";
   if (fabric_backend != "sim") out += "_backend" + fabric_backend;

@@ -47,25 +47,17 @@ struct ParcelportConfig {
   CompType completion = CompType::kQueue;
   bool send_immediate = false;  // "_i": bypass parcel queue + connection cache
 
-  /// LCI small-parcel fast path (put-with-completion): parcels whose whole
-  /// frame fits under a byte cap travel as ONE self-contained message and
-  /// dispatch from a remote handler. -1 = unset in the name (on, capped at
-  /// the eager threshold — the default); "fpoff" = 0 (disabled),
-  /// "fp" = 1 (on, capped at the eager threshold), "fp<N>" = N (on, capped
-  /// at min(N, eager threshold) bytes).
-  long lci_fastpath = -1;
+  /// LCI small-parcel fast path (put-with-completion): a parcel whose whole
+  /// frame fits in one eager (medium) message travels as ONE self-contained
+  /// message and dispatches from a remote handler. On by default; the
+  /// "fpoff" token turns it off.
+  bool lci_fastpath = true;
 
-  /// LCI adaptive aggregation: per-destination coalescing of fast-path-sized
-  /// parcels into multi-parcel batch frames, activated only while the
-  /// destination's admission window is backpressured. 0 = off (the default,
-  /// no token); "agg<BYTES>" = batch-frame byte cap (capped at the eager
-  /// threshold; values below the minimum frame overhead are rejected at
-  /// parse).
-  long lci_agg = 0;
-  /// Age deadline in microseconds for a partially filled batch ("aggt<N>";
-  /// -1 = unset, 200 µs). 0 disables the age trigger (size/idle flushes
-  /// still apply).
-  long lci_agg_age_us = -1;
+  /// LCI adaptive aggregation ("agg" token, off by default): per-destination
+  /// coalescing of fast-path-sized parcels into multi-parcel batch frames of
+  /// at most one eager message, activated only while the destination's
+  /// admission window is backpressured.
+  bool lci_agg = false;
 
   // MPI-parcelport ablation knobs (beyond Table 1):
   bool mpi_coarse_lock = true;  // "fine" clears it (lock-granularity ablation)

@@ -229,13 +229,6 @@ static_assert(sizeof(BatchHeader) == 16);
 inline constexpr std::size_t kBatchEntryHeaderBytes =
     2 * sizeof(std::uint32_t);
 
-/// Smallest possible frame: header + one empty entry (24 B, the envelope of
-/// every single-parcel frame). `agg<BYTES>` thresholds below this are
-/// rejected at config parse — they could never fit even a zero-payload
-/// parcel.
-inline constexpr std::size_t kMinAggFrameBytes =
-    sizeof(BatchHeader) + kBatchEntryHeaderBytes;
-
 /// Encoded size of one entry record inside a frame.
 inline std::size_t frame_entry_size(const OutMessage& msg) {
   std::size_t size = kBatchEntryHeaderBytes +
@@ -487,6 +480,10 @@ inline DecodedHeader decode_header(const std::byte* data, std::size_t size) {
     }
     decoded.piggy_main.assign(data + offset,
                               data + offset + decoded.fields.main_size);
+  } else if (decoded.fields.main_size > kMaxPieceBytes) {
+    // A follow-up main chunk: the receiver sizes a buffer from this field.
+    common::integrity_fail("wire header main_size ", decoded.fields.main_size,
+                           " is above the ", kMaxPieceBytes, " byte bound");
   }
   return decoded;
 }

@@ -88,8 +88,7 @@ const std::vector<Knob>& knob_registry() {
       {Kind::kEnv, "AMTNET_BENCH_SCALE", "1.0",
        "multiplies every suite's message/step counts (scaled counts are "
        "clamped to >= 1)",
-       "bench_suite (pinned by CI bench-gate) and the standalone bench_* "
-       "tools"},
+       "bench_suite (pinned by CI bench-gate)"},
       {Kind::kEnv, "AMTNET_BENCH_RUNS", "2",
        "recorded repetitions per data point; the driver reports the median "
        "of N plus mean/stddev",
@@ -101,35 +100,20 @@ const std::vector<Knob>& knob_registry() {
       {Kind::kEnv, "AMTNET_BENCH_WORKERS", "8",
        "worker threads per locality for suite points that do not pin their "
        "own count",
-       "bench_suite (pinned by CI bench-gate) and the standalone bench_* "
-       "tools"},
+       "bench_suite (pinned by CI bench-gate)"},
       {Kind::kEnv, "AMTNET_LOG", "warn",
        "stack log level: error|warn|info|debug", "any binary"},
       // -- telemetry --
       {Kind::kEnv, "AMTNET_TELEMETRY", "1",
        "0/off/false: kill switch for timing instrumentation (no clock "
        "reads, no tracing; counters stay on)",
-       "bench_overhead_probe, run with AMTNET_TELEMETRY=0"},
+       "bench_suite --run overhead, run with AMTNET_TELEMETRY=0"},
       {Kind::kEnv, "AMTNET_TRACE_FILE", "bench_profile_trace.json",
        "where bench_profile writes its Chrome trace", "bench_profile"},
       {Kind::kEnv, "AMTNET_LCI_PACKET_POOL", "4096",
        "send-side packet-pool size in minilci (a pool of 1 forces fast-path "
        "pool exhaustion — the credit-conservation regression setup)",
        "test_amt AdmissionTest"},
-      // -- fault injection (see docs/ and README for the full model) --
-      {Kind::kEnv, "AMTNET_FAULT_DROP", "0",
-       "P(drop) per two-sided datagram", "bench_chaos_sweep"},
-      {Kind::kEnv, "AMTNET_FAULT_DUP", "0",
-       "P(duplicate delivery) per datagram", "bench_chaos_sweep"},
-      {Kind::kEnv, "AMTNET_FAULT_CORRUPT", "0",
-       "P(single bit-flip) per payload", "bench_chaos_sweep"},
-      {Kind::kEnv, "AMTNET_FAULT_SEED", "fixed constant",
-       "seed of the deterministic fault streams (any u64)",
-       "bench_chaos_sweep"},
-      {Kind::kEnv, "AMTNET_FAULT_INTEGRITY", "0",
-       "1: arm the CRC/sequence integrity layer with all fault "
-       "probabilities 0",
-       "bench_chaos_sweep"},
       {Kind::kEnv, "AMTNET_CHAOS_SEEDS", "1..8 in CI",
        "comma-separated seed sweep for the chaos test harness",
        "CI chaos-smoke (test_chaos)"},
@@ -185,18 +169,17 @@ const std::vector<Knob>& knob_registry() {
       {Kind::kConfigToken, "_i", "off",
        "send-immediate: bypass the parcel queue and connection cache",
        "ablation_aggregation"},
-      {Kind::kConfigToken, "fp | fp<N> | fpoff", "on (eager threshold)",
-       "LCI small-parcel fast path: whole parcels at or under the cap ride "
-       "a single put-with-completion frame, skipping connection acquisition "
-       "and follow-up transfers (fp = cap at the eager threshold, fp<N> = "
-       "cap at N bytes, fpoff = kill switch)",
+      {Kind::kConfigToken, "fpoff", "off (fast path on)",
+       "turns off the LCI small-parcel fast path, which sends every parcel "
+       "whose frame fits one eager message as a single put-with-completion "
+       "frame, skipping connection acquisition and follow-up transfers",
        "ablation_fastpath"},
-      {Kind::kConfigToken, "agg<N> | aggt<U>", "off",
+      {Kind::kConfigToken, "agg", "off",
        "LCI adaptive aggregation: coalesce fast-path parcels bound for a "
-       "backpressured destination into one batch frame of at most N bytes "
-       "(agg<N>, minimum the one-parcel frame overhead), flushed by size, "
-       "window stall (the buffer absorbed every outstanding admission "
-       "credit), age (aggt<U> microseconds), idle background work, or stop",
+       "backpressured destination into one batch frame of at most one eager "
+       "message, flushed when full, on window stall (the buffer absorbed "
+       "every outstanding admission credit), after 200 microseconds, on "
+       "idle background work, or at stop",
        "ablation_aggregation"},
       {Kind::kConfigToken, "block<N>", "off",
        "send-path admission window: at most N fire-and-forget parcels per "
@@ -214,7 +197,7 @@ const std::vector<Knob>& knob_registry() {
       // -- CMake options --
       {Kind::kCMake, "AMTNET_TELEMETRY_DISABLED", "OFF",
        "compile every telemetry primitive to an inline no-op",
-       "bench_overhead_probe"},
+       "bench_suite --run overhead from such a build; CI telemetry-disabled"},
       {Kind::kCMake, "AMTNET_SANITIZE", "off",
        "thread|address sanitizer build (address = ASan+UBSan)",
        "CI tsan and asan jobs"},

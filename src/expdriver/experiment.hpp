@@ -48,6 +48,12 @@ struct PointSpec {
   double rate_bandwidth_gbps = 0.0;
   double rate_latency_us = 0.0;
   double rate_pkt_mpps = 0.0;
+  // Injected-fault regime for rate points (the chaos suite): drop,
+  // duplicate and corrupt each with probability fault_rate; fault_integrity
+  // arms the CRC/retransmit layer with every probability at 0. The harness
+  // copies it onto StackOptions::faults.
+  double fault_rate = 0.0;
+  bool fault_integrity = false;
   std::size_t zchunk_count = 0;
   std::size_t zero_copy_threshold = 8192;
   std::size_t max_connections = 8192;

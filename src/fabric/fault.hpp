@@ -62,14 +62,4 @@ struct FaultConfig {
   std::string describe() const;
 };
 
-/// Overrides fields from AMTNET_FAULT_* environment variables (unset
-/// variables leave the passed-in value untouched):
-///   AMTNET_FAULT_DROP, AMTNET_FAULT_DUP, AMTNET_FAULT_CORRUPT
-///       — probabilities in [0, 1]
-///   AMTNET_FAULT_SEED              — the deterministic seed
-///   AMTNET_FAULT_INTEGRITY         — 1: force integrity machinery on
-/// The delay, brownout, RNR-storm and corrupt_min_size fields have no
-/// environment twin; tests set them on the FaultConfig directly.
-void apply_fault_env(FaultConfig& config);
-
 }  // namespace fabric

@@ -53,7 +53,6 @@ ReliableEndpoint::ReliableEndpoint(Fabric& fabric, Rank rank,
           ep_metric(layer, rank, "retransmit_scans"))) {
   if (enabled_) {
     const std::size_t n = fabric.num_ranks();
-    tx_seq_ = std::vector<common::CachePadded<std::atomic<std::uint32_t>>>(n);
     tx_.reserve(n);
     rx_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -74,28 +73,27 @@ common::Status ReliableEndpoint::send(Rank dst, const void* data,
     return common::Status::kError;
   }
 
-  const std::uint32_t seq =
-      tx_seq_[dst].value.fetch_add(1, std::memory_order_relaxed);
   std::vector<std::byte> wire(len + kTrailerSize);
   if (len > 0) std::memcpy(wire.data(), data, len);
-  const std::uint32_t crc = trailer_crc(data, len, seq, imm);
-  std::memcpy(wire.data() + len, &seq, sizeof(seq));
-  std::memcpy(wire.data() + len + sizeof(seq), &crc, sizeof(crc));
-
-  const common::Status status =
-      nic_.post_send(dst, wire.data(), wire.size(), imm);
-  // kRetry burns the seq; the receiver never gap-detects, so that's fine.
-  if (status != common::Status::kOk) return status;
-
-  Pending pending;
-  pending.imm = imm;
-  pending.wire = std::move(wire);
-  pending.post_tick = tick_.load(std::memory_order_relaxed);
-  pending.post_ns = zero_time_ ? 0 : common::now_ns();
   TxState& tx = *tx_[dst];
   {
+    // The seq is taken under the lock and kept only if the NIC takes the
+    // post, so a refused post (kRetry) leaves no gap the receiver would
+    // wait on forever.
     std::lock_guard<common::SpinMutex> guard(tx.mutex);
-    tx.pending.emplace(seq, std::move(pending));
+    const std::uint32_t seq = tx.next_seq;
+    const std::uint32_t crc = trailer_crc(data, len, seq, imm);
+    std::memcpy(wire.data() + len, &seq, sizeof(seq));
+    std::memcpy(wire.data() + len + sizeof(seq), &crc, sizeof(crc));
+    const common::Status status =
+        nic_.post_send(dst, wire.data(), wire.size(), imm);
+    if (status != common::Status::kOk) return status;
+    ++tx.next_seq;
+    Pending& pending = tx.pending[seq];
+    pending.imm = imm;
+    pending.wire = std::move(wire);
+    pending.post_tick = tick_.load(std::memory_order_relaxed);
+    pending.post_ns = zero_time_ ? 0 : common::now_ns();
   }
   ctr_data_sent_.add();
   return common::Status::kOk;
@@ -163,11 +161,6 @@ bool ReliableEndpoint::on_recv(RxEvent& event) {
         rx.seen.erase(rx.seen.begin());
         ++rx.base;
       }
-      if (rx.seen.size() > kMaxSeenWindow) {
-        // The oldest gaps are burned sequence numbers (posts the NIC
-        // refused); presume everything below the oldest arrival delivered.
-        rx.base = *rx.seen.begin();
-      }
     }
   }
   // Ack fresh arrivals AND duplicates — a duplicate usually means our
@@ -231,8 +224,8 @@ void ReliableEndpoint::progress() {
             "reliable: retransmit budget exhausted rank=", rank_,
             " dst=", dst, " seq=", seq, " imm_kind=", (p.imm >> 56),
             " size=", p.wire.size(), " attempts=", p.attempts,
-            " — link presumed dead (seed-reproducible; see "
-            "AMTNET_FAULT_* settings)");
+            " — link presumed dead (the run's FaultConfig and seed "
+            "reproduce it)");
       }
       if (nic_.post_send(static_cast<Rank>(dst), p.wire.data(),
                          p.wire.size(), p.imm) == common::Status::kOk) {

@@ -18,12 +18,14 @@
 //     exponential backoff; exhausting the bounded retry budget is an
 //     unrecoverable link failure and fail-fasts via common::integrity_fail.
 //
-// Sequence numbers are allocated per destination and *burned* when the NIC
-// refuses a post (Status::kRetry): loss detection is sender-timeout based,
-// never gap based — multi-rail delivery reorders freely, so gaps carry no
-// information. Timeouts are measured in progress() calls ("ticks"), which
-// works identically under zero_time fabrics, plus a wall-clock floor on
-// timed fabrics so retransmits don't race genuine in-flight packets.
+// Sequence numbers are allocated per destination only once the NIC took the
+// post, so every number is eventually delivered (or the retransmit budget
+// aborts the run): a gap at the receiver is always a datagram still in
+// flight, however many later ones overtook it. Loss detection is
+// sender-timeout based, never gap based — multi-rail delivery reorders
+// freely. Timeouts are measured in progress() calls ("ticks"), which works
+// identically under zero_time fabrics, plus a wall-clock floor on timed
+// fabrics so retransmits don't race genuine in-flight packets.
 //
 // When the fabric's fault config is clean (integrity_on() == false) every
 // call is a passthrough: send() forwards to Nic::post_send untouched and
@@ -39,7 +41,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/cache.hpp"
 #include "common/spinlock.hpp"
 #include "common/status.hpp"
 #include "fabric/nic.hpp"
@@ -92,9 +93,6 @@ class ReliableEndpoint {
   // Progress ticks between retransmit scans: at worst a timeout is noticed
   // kRtoBaseTicks / 8 late, adding 12.5% to the base RTO.
   static constexpr std::uint64_t kScanQuantum = kRtoBaseTicks / 8;
-  // How many out-of-order arrivals each source tracks before presuming the
-  // oldest gap is a burned sequence number (see file comment).
-  static constexpr std::size_t kMaxSeenWindow = 4096;
 
   struct Pending {
     std::uint64_t imm = 0;
@@ -106,6 +104,7 @@ class ReliableEndpoint {
 
   struct TxState {
     common::SpinMutex mutex;
+    std::uint32_t next_seq = 0;  // advanced only by a post the NIC took
     std::unordered_map<std::uint32_t, Pending> pending;
   };
 
@@ -129,7 +128,6 @@ class ReliableEndpoint {
   const bool zero_time_;
   const common::Nanos rto_ns_base_;
 
-  std::vector<common::CachePadded<std::atomic<std::uint32_t>>> tx_seq_;
   std::vector<std::unique_ptr<TxState>> tx_;
   std::vector<std::unique_ptr<RxState>> rx_;
 

@@ -9,7 +9,6 @@
 #include "common/affinity.hpp"
 #include "common/clock.hpp"
 #include "common/integrity.hpp"
-#include "common/logging.hpp"
 
 namespace pplci {
 
@@ -29,45 +28,8 @@ minilci::Config make_device_config() {
   return config;
 }
 
-std::size_t resolve_fastpath_cap(const amt::ParcelportConfig& config,
-                                 std::size_t eager_threshold) {
-  // The "fp"/"fp<N>"/"fpoff" token; without one the fast path is ON at the
-  // eager threshold. The cap bounds the *whole frame* (header + every
-  // payload byte) and can never exceed one medium message.
-  const long value = config.lci_fastpath < 0 ? 1 : config.lci_fastpath;
-  if (value == 0) return 0;
-  if (value == 1) return eager_threshold;
-  if (static_cast<std::size_t>(value) > eager_threshold) {
-    // The clamp is silent per message, so surface it once per process: an
-    // fp<N> beyond the eager threshold cannot take effect (a frame must fit
-    // one medium message).
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true, std::memory_order_relaxed)) {
-      AMTNET_LOG_WARN("pplci: fast-path cap fp", value,
-                      " exceeds the eager threshold ", eager_threshold,
-                      " — clamping to ", eager_threshold, " bytes");
-    }
-  }
-  return std::min(static_cast<std::size_t>(value), eager_threshold);
-}
-
-std::size_t resolve_agg_cap(const amt::ParcelportConfig& config,
-                            std::size_t eager_threshold) {
-  // The "agg<N>" token; without one aggregation is OFF (it is
-  // opt-in — it changes frame timing, so the historical configurations stay
-  // bit-identical). Caps below the minimum frame are rejected at parse. The
-  // cap bounds the whole batch frame and can never exceed one medium
-  // message.
-  if (config.lci_agg <= 0) return 0;
-  return std::min(static_cast<std::size_t>(config.lci_agg), eager_threshold);
-}
-
-common::Nanos resolve_agg_age_ns(const amt::ParcelportConfig& config) {
-  // The "aggt<USEC>" token, default 200 µs. 0 disables the age trigger
-  // (size/idle/final flushes still apply).
-  const long value = config.lci_agg_age_us < 0 ? 200 : config.lci_agg_age_us;
-  return static_cast<common::Nanos>(value) * 1000;
-}
+// Age deadline of a partially filled aggregation batch.
+constexpr common::Nanos kAggAgeNs = 200'000;
 
 std::string pp_metric(amt::Rank rank, const char* leaf) {
   return "pplci/loc" + std::to_string(rank) + "/" + leaf;
@@ -83,9 +45,10 @@ LciParcelport::LciParcelport(const amt::ParcelportContext& context)
       max_header_size_(std::min(
           std::max(context.zero_copy_threshold, sizeof(amt::WireHeader)),
           device_config_.eager_threshold)),
-      fastpath_cap_(resolve_fastpath_cap(context.config,
-                                         device_config_.eager_threshold)),
-      agg_cap_(resolve_agg_cap(context.config, device_config_.eager_threshold)),
+      fastpath_cap_(context.config.lci_fastpath
+                        ? device_config_.eager_threshold
+                        : 0),
+      agg_cap_(context.config.lci_agg ? device_config_.eager_threshold : 0),
       device_(*context.fabric, context.rank, device_config_, &remote_put_cq_),
       progress_backoff_(context.num_workers + 1),
       header_seq_tx_(context.fabric->num_ranks()),
@@ -138,8 +101,7 @@ LciParcelport::LciParcelport(const amt::ParcelportContext& context)
   }
   if (agg_cap_ > 0) {
     aggregator_ = std::make_unique<amt::Aggregator>(
-        context.fabric->num_ranks(), agg_cap_,
-        resolve_agg_age_ns(context.config),
+        context.fabric->num_ranks(), agg_cap_, kAggAgeNs,
         [this](amt::Rank dst, std::vector<amt::Aggregator::Entry>&& batch,
                amt::Aggregator::FlushReason reason) {
           flush_batch(dst, std::move(batch), reason);
@@ -470,12 +432,11 @@ void LciParcelport::post_recv_piece(ReceiverConnection* connection,
 void LciParcelport::ReceiverConnection::post_zchunk_recvs(
     LciParcelport& port) {
   const std::vector<std::uint64_t> zsizes =
-      amt::parse_tchunk(tchunk.data(), tchunk.size());
-  assert(zsizes.size() == fields.num_zchunks);
+      amt::parse_tchunk(tchunk.data(), tchunk.size(), fields.num_zchunks);
   // Size the slot vector before posting anything: completions may land (on
   // other threads) while later receives are still being posted, and the
   // slots must not move under them.
-  zchunks.resize(fields.num_zchunks);
+  zchunks.resize(zsizes.size());
   for (std::size_t i = 0; i < zsizes.size(); ++i) {
     port.post_recv_piece(this, zbase + i, zsizes[i], zchunks[i]);
   }

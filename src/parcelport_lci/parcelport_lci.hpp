@@ -35,9 +35,10 @@
 //                             CQ — the only mechanism LCI's put supports),
 //   * send-immediate `_i`   — handled above this layer (parcel queue and
 //                             connection cache bypass in amt::Locality),
-//   * fast path  fp/fpoff   — small-parcel put-with-completion (below),
-//   * aggregation agg<N>/aggt<U> — adaptive per-destination
-//                             coalescing of small parcels (below).
+//   * fast path  fpoff      — turns the small-parcel put-with-completion
+//                             (below) off; it is on by default,
+//   * aggregation agg       — adaptive per-destination coalescing of small
+//                             parcels (below); off by default.
 //
 // Small-parcel frames (hpx5 `pwc` style): every sub-threshold parcel travels
 // in ONE frame kind (amt::BatchHeader in wire_header.hpp) on the reserved tag
@@ -46,18 +47,18 @@
 // context: no ReceiverConnection, no follow-up tag allocation, no
 // completion-queue round trip. One handler verifies each frame (CRC-32 plus
 // the per-channel seq shared with header messages) and delivers its parcels.
-//   * Fast path (fp<N> token, on by default, capped at the eager
-//     threshold): a message whose frame fits under the cap is sent as a
-//     frame of one. Larger messages take the unchanged header + follow-up
-//     path (counted under pplci/*/fastpath_fallbacks).
-//   * Adaptive aggregation (agg<BYTES> token, off by default):
+//   * Fast path (on unless the name has fpoff): a message whose frame fits
+//     in one eager message is sent as a frame of one. Larger messages take
+//     the unchanged header + follow-up path (counted under
+//     pplci/*/fastpath_fallbacks).
+//   * Adaptive aggregation (agg token, off by default):
 //     fast-path-sized parcels bound for a *backpressured* destination
 //     (admission credits outstanding — ParcelportContext::queue_depth) are
 //     coalesced in a per-destination amt::Aggregator buffer and travel as
 //     one frame of many, amortizing per-message injection overhead across
-//     the batch. Frames flush on a size cap, an age deadline (aggt<USEC>
-//     token), idle background work, or stop(). When the destination is
-//     idle, parcels keep taking the fast path unbuffered.
+//     the batch. Frames flush when full (one eager message), after a 200 µs
+//     age deadline, on idle background work, or at stop(). When the
+//     destination is idle, parcels keep taking the fast path unbuffered.
 //
 // Resource pressure (LCI's explicit-retry contract): no post this
 // parcelport makes is ever refused. One the NIC cannot take now parks in
@@ -103,10 +104,6 @@ class LciParcelport final : public amt::Parcelport {
   static constexpr minilci::Tag kHeaderTag = 0;  // sr-protocol headers
 
   std::uint64_t messages_delivered() const { return ctr_delivered_.value(); }
-  /// Effective one-parcel frame-size cap in bytes (0 = fast path off).
-  std::size_t fastpath_cap() const { return fastpath_cap_; }
-  /// Effective batched frame byte cap (0 = aggregation off).
-  std::size_t aggregation_cap() const { return agg_cap_; }
 
   /// Test hook: positions the follow-up tag counter (e.g. just below the
   /// 32-bit wrap) to exercise alloc_tags' wraparound handling.

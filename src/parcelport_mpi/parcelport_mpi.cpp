@@ -1,7 +1,6 @@
 #include "parcelport_mpi/parcelport_mpi.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <mutex>
 #include <string>
 
@@ -169,8 +168,8 @@ void MpiParcelport::ReceiverConnection::post_next(MpiParcelport& port) {
         break;
       case Stage::kZchunks:
         if (zsizes.empty() && fields.num_zchunks > 0) {
-          zsizes = amt::parse_tchunk(tchunk.data(), tchunk.size());
-          assert(zsizes.size() == fields.num_zchunks);
+          zsizes = amt::parse_tchunk(tchunk.data(), tchunk.size(),
+                                     fields.num_zchunks);
         }
         if (zindex < fields.num_zchunks) {
           zchunks.emplace_back(zsizes[zindex]);

@@ -45,7 +45,6 @@ amt::RuntimeConfig make_runtime_config(const StackOptions& options) {
   config.fabric = platform_config(options.platform, config.num_localities);
   if (options.fabric_rails != 0) config.fabric.num_rails = options.fabric_rails;
   config.fabric.faults = options.faults;
-  fabric::apply_fault_env(config.fabric.faults);
   // Backend resolution, the one setting kept at four levels because
   // amtnet_launch selects shm for every rank through AMTNET_BACKEND:
   // AMTNET_BACKEND > StackOptions::backend > backend<name> token > "sim".

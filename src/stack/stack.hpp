@@ -27,8 +27,8 @@ struct StackOptions {
   /// backend<sim|shm> token says (default sim). Explicit values here beat
   /// the token; the AMTNET_BACKEND env var beats both.
   std::string backend;
-  // Fault-injection seeds/probabilities; AMTNET_FAULT_* env knobs are layered
-  // on top of these in make_runtime_config (env wins over code defaults).
+  // Fault-injection seeds and probabilities, copied onto the fabric config
+  // (tests and the chaos suite set them in code).
   fabric::FaultConfig faults;
 };
 

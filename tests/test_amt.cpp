@@ -4,6 +4,7 @@
 // connection cache, and the send-immediate path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -15,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "amt/aggregator.hpp"
 #include "amt/loopback_parcelport.hpp"
 #include "amt/runtime.hpp"
 #include "amt/serialization.hpp"
@@ -166,7 +168,8 @@ TEST(Serialization, TransmissionChunkEncodesSizes) {
   out << std::vector<std::uint8_t>(100) << std::vector<std::uint8_t>(200);
   const auto msg = out.finish();
   const auto tchunk = msg.make_tchunk();
-  const auto sizes = amt::parse_tchunk(tchunk.data(), tchunk.size());
+  const auto sizes =
+      amt::parse_tchunk(tchunk.data(), tchunk.size(), msg.zchunks.size());
   ASSERT_EQ(sizes.size(), 2u);
   EXPECT_EQ(sizes[0], 100u);
   EXPECT_EQ(sizes[1], 200u);
@@ -771,11 +774,14 @@ TEST(ParcelportConfigTest, RemovedEngineTokensRejected) {
   // shards (rs) are not configurable: every piece is posted at once, every
   // caller polls the device, and there is one rendezvous table. Admission
   // has one policy (block<N>), so shed<N> and dl<N> name nothing, and
-  // aggregation is off unless agg<N> is given, so aggoff names nothing.
-  // Each collective has one algorithm, so no coll<ALGO> family exists.
+  // aggregation is off unless agg is given, so aggoff names nothing.
+  // Each collective has one algorithm, so no coll<ALGO> family exists. The
+  // fast path and the aggregator are on/off switches with no byte cap or
+  // age, so the old cap and age tokens name nothing either.
   for (const char* token :
        {"pd4", "pdinf", "pt2", "ptinf", "rs1", "shed8", "dl512", "aggoff",
-        "collcentral", "colltree", "collrd", "collring", "collauto"}) {
+        "collcentral", "colltree", "collrd", "collring", "collauto", "fp",
+        "fp512", "agg2048", "aggt100"}) {
     try {
       amt::ParcelportConfig::parse(std::string("lci_psr_cq_pin_") + token);
       ADD_FAILURE() << token << " was accepted";
@@ -847,39 +853,24 @@ TEST(ParcelportConfigTest, AdmissionTokens) {
                std::invalid_argument);
 }
 
-TEST(ParcelportConfigTest, AggregationTokens) {
+TEST(ParcelportConfigTest, FastPathAndAggregationSwitches) {
   using amt::ParcelportConfig;
-  const auto agg = ParcelportConfig::parse("lci_psr_cq_pin_agg2048_i");
-  EXPECT_EQ(agg.lci_agg, 2048);
-  EXPECT_EQ(agg.lci_agg_age_us, -1);  // age unset: env / default decides
-  EXPECT_EQ(agg.name(), "lci_psr_cq_pin_agg2048_i");
+  // The fast path is on and aggregation off unless the name says
+  // otherwise; neither default shows in the canonical name.
+  const auto plain = ParcelportConfig::parse("lci_psr_cq_pin_i");
+  EXPECT_TRUE(plain.lci_fastpath);
+  EXPECT_FALSE(plain.lci_agg);
+  EXPECT_EQ(plain.name(), "lci_psr_cq_pin_i");
 
-  const auto aged = ParcelportConfig::parse("lci_sr_sy_mt_agg1024_aggt100_i");
-  EXPECT_EQ(aged.lci_agg, 1024);
-  EXPECT_EQ(aged.lci_agg_age_us, 100);
-  EXPECT_EQ(aged.name(), "lci_sr_sy_mt_agg1024_aggt100_i");
+  const auto agg = ParcelportConfig::parse("lci_psr_cq_mt_agg_i_block8");
+  EXPECT_TRUE(agg.lci_fastpath);
+  EXPECT_TRUE(agg.lci_agg);
+  EXPECT_EQ(agg.name(), "lci_psr_cq_mt_agg_i_block8");
 
-  // Without an agg<N> token aggregation is off, and stays out of the name.
-  const auto unset = ParcelportConfig::parse("lci_psr_cq_pin_i");
-  EXPECT_EQ(unset.lci_agg, 0);
-  EXPECT_EQ(unset.name(), "lci_psr_cq_pin_i");
-
-  // The tokens compose with the fast-path and admission tokens.
-  const auto full =
-      ParcelportConfig::parse("lci_psr_cq_mt_fp_agg2048_aggt50_i_block8");
-  EXPECT_EQ(full.lci_fastpath, 1);
-  EXPECT_EQ(full.lci_agg, 2048);
-  EXPECT_EQ(full.lci_agg_age_us, 50);
-  EXPECT_EQ(full.name(), "lci_psr_cq_mt_fp_agg2048_aggt50_i_block8");
-
-  // A cap below the minimum one-parcel frame could never flush anything:
-  // reject it at parse rather than wedging the aggregator at runtime.
-  static_assert(amt::kMinAggFrameBytes == 24);
-  EXPECT_THROW(ParcelportConfig::parse("lci_psr_cq_pin_agg23_i"),
-               std::invalid_argument);
-  EXPECT_THROW(ParcelportConfig::parse("lci_psr_cq_pin_agg16_i"),
-               std::invalid_argument);
-  EXPECT_NO_THROW(ParcelportConfig::parse("lci_psr_cq_pin_agg24_i"));
+  const auto off = ParcelportConfig::parse("lci_sr_sy_mt_fpoff_i");
+  EXPECT_FALSE(off.lci_fastpath);
+  EXPECT_FALSE(off.lci_agg);
+  EXPECT_EQ(off.name(), "lci_sr_sy_mt_fpoff_i");
 }
 
 // ---------------- admission control over the loopback parcelport ----------
@@ -1063,7 +1054,7 @@ TEST(AdmissionTest, FastpathParcelsReturnCreditsAndConserve) {
   // block window with a slow handler: if fast-path delivery leaked credits
   // the window would wedge and the sender could never finish; conservation
   // must hold exactly at quiescence.
-  amt::RuntimeConfig config = lci_fastpath_config("lci_psr_cq_mt_fp_i", 2, 2);
+  amt::RuntimeConfig config = lci_fastpath_config("lci_psr_cq_mt_i", 2, 2);
   config.parcelport.admission.window = 4;
   amt::Runtime runtime(config, amtnet::default_parcelport_factory());
   runtime.start();
@@ -1098,7 +1089,7 @@ TEST(LciFastpathFlood, MultiThreadedSendersTsanClean) {
   // parcel must be dispatched exactly once.
   constexpr int kSenders = 3;
   constexpr int kPerSender = 120;
-  amt::RuntimeConfig config = lci_fastpath_config("lci_psr_cq_mt_fp_i", 2, 4);
+  amt::RuntimeConfig config = lci_fastpath_config("lci_psr_cq_mt_i", 2, 4);
   amt::Runtime runtime(config, amtnet::default_parcelport_factory());
   runtime.start();
   actions::ping_count.store(0);
@@ -1131,7 +1122,7 @@ TEST(AdmissionTest, PoolExhaustedFastpathFallsBackAndConserves) {
   // minilci's backlog, holding the lone packet, while other senders' allocs
   // fail.
   setenv("AMTNET_LCI_PACKET_POOL", "1", 1);
-  amt::RuntimeConfig config = lci_fastpath_config("lci_psr_cq_mt_fp_i", 2, 4);
+  amt::RuntimeConfig config = lci_fastpath_config("lci_psr_cq_mt_i", 2, 4);
   config.parcelport.admission.window = 64;
   // A tiny TX window under a 64-deep flood: most posts find the NIC full and
   // park in the destination's backlog, and the parked frame holds the pool's
@@ -1197,7 +1188,7 @@ TEST(LciFastpathFlood, SendRecvVariantDeliversThroughHandler) {
   // Same flood over the sr protocol (fast-path frames ride tag-reserved
   // medium sends instead of dynamic puts) with the sy completion flavour.
   constexpr int kParcels = 200;
-  amt::RuntimeConfig config = lci_fastpath_config("lci_sr_sy_mt_fp_i", 2, 2);
+  amt::RuntimeConfig config = lci_fastpath_config("lci_sr_sy_mt_i", 2, 2);
   amt::Runtime runtime(config, amtnet::default_parcelport_factory());
   runtime.start();
   actions::ping_count.store(0);
@@ -1218,15 +1209,15 @@ TEST(LciFastpathFlood, SendRecvVariantDeliversThroughHandler) {
 // The aggregator's lifecycle has three racing flush triggers: a sender whose
 // enqueue tips the buffer over the size cap, idle workers running
 // background_work (age poll + idle drain), and stop()'s final flush_all.
-// These floods make all three fire concurrently from different threads (the
-// LciAggregationFlood filter is part of the CI tsan job); the exact dispatch
-// count catches any lost, duplicated, or double-flushed sub-parcel.
+// This flood makes all three fire concurrently from different threads (the
+// CI tsan job runs it); the exact dispatch count catches any lost,
+// duplicated, or double-flushed sub-parcel.
 
 TEST(LciAggregationFlood, MultiThreadedSendersTsanClean) {
   constexpr int kSenders = 3;
   constexpr int kPerSender = 150;
   amt::RuntimeConfig config =
-      lci_fastpath_config("lci_psr_cq_mt_fp_agg2048_aggt50_i_block8", 2, 4);
+      lci_fastpath_config("lci_psr_cq_mt_agg_i_block8", 2, 4);
   amt::Runtime runtime(config, amtnet::default_parcelport_factory());
   runtime.start();
   actions::ping_count.store(0);
@@ -1246,27 +1237,141 @@ TEST(LciAggregationFlood, MultiThreadedSendersTsanClean) {
   runtime.stop();
 }
 
-TEST(LciAggregationFlood, TinyCapEvictionChurnTsanClean) {
-  // A cap barely above one entry: nearly every enqueue evicts the previous
-  // occupant, maximizing contention on the swap-under-lock/flush-outside
-  // handoff between senders and the background flusher.
-  constexpr int kSenders = 3;
-  constexpr int kPerSender = 100;
-  amt::RuntimeConfig config =
-      lci_fastpath_config("lci_sr_cq_mt_fp_agg128_aggt50_i_block8", 2, 4);
-  amt::Runtime runtime(config, amtnet::default_parcelport_factory());
-  runtime.start();
-  actions::ping_count.store(0);
-  for (int s = 0; s < kSenders; ++s) {
-    runtime.locality(0).spawn([&] {
-      for (int i = 0; i < kPerSender; ++i) {
-        amt::here().apply<&actions::ping>(1);
+// -------- amt::Aggregator, driven directly --------------------------------
+//
+// Small caps and ages make each flush trigger fire deterministically, with
+// no runtime, fabric or wall-clock wait in the loop. A parcel of n main
+// bytes costs an 8 + n byte entry record in a frame with a 16 B header.
+
+namespace {
+
+using amt::Aggregator;
+using Reason = Aggregator::FlushReason;
+
+OutMessage agg_parcel(std::size_t bytes, std::uint32_t id = 0) {
+  OutMessage msg;
+  msg.main_chunk.resize(bytes);
+  std::memcpy(msg.main_chunk.data(), &id, std::min(bytes, sizeof(id)));
+  return msg;
+}
+
+/// An aggregator for 2 ranks whose flushes are logged as (entries, reason).
+struct LoggedAggregator {
+  std::vector<std::pair<std::size_t, Reason>> flushes;
+  Aggregator agg;
+
+  LoggedAggregator(std::size_t max_bytes, common::Nanos age_ns)
+      : agg(2, max_bytes, age_ns,
+            [this](amt::Rank, std::vector<Aggregator::Entry>&& batch,
+                   Reason reason) {
+              for (auto& entry : batch) entry.done();
+              flushes.emplace_back(batch.size(), reason);
+            }) {}
+
+  /// Offers one parcel to rank 1 under `depth` outstanding credits.
+  bool offer(std::size_t bytes, std::int64_t depth = 100) {
+    OutMessage msg = agg_parcel(bytes);
+    common::UniqueFunction<void()> done = [] {};
+    return agg.enqueue(1, depth, msg, done);
+  }
+};
+
+using FlushLog = std::vector<std::pair<std::size_t, Reason>>;
+
+}  // namespace
+
+TEST(AggregatorTest, IdleDestinationBypassesTheBuffer) {
+  LoggedAggregator logged(48, 1000);
+  OutMessage msg = agg_parcel(8);
+  common::UniqueFunction<void()> done = [] {};
+  // Only this parcel outstanding and nothing buffered: send it directly.
+  EXPECT_FALSE(logged.agg.enqueue(1, /*queue_depth=*/1, msg, done));
+  EXPECT_EQ(msg.main_chunk.size(), 8u);  // left to the caller
+  EXPECT_TRUE(static_cast<bool>(done));
+  EXPECT_TRUE(logged.agg.empty());
+  EXPECT_TRUE(logged.flushes.empty());
+}
+
+TEST(AggregatorTest, SizeCapFlushesFullAndEvictedBatches) {
+  LoggedAggregator logged(/*max_bytes=*/48, /*age_ns=*/1'000'000'000);
+  // Two 8 B parcels fill the 48 B frame exactly: one size flush of two.
+  EXPECT_TRUE(logged.offer(8));
+  EXPECT_TRUE(logged.offer(8));
+  EXPECT_EQ(logged.flushes, (FlushLog{{2, Reason::kSize}}));
+  // A 16 B parcel does not fit beside an 8 B one (16 + 16 + 24 > 48): the
+  // buffered parcel leaves alone and the new one starts the next batch.
+  EXPECT_TRUE(logged.offer(8));
+  EXPECT_TRUE(logged.offer(16));
+  EXPECT_FALSE(logged.agg.empty());
+  logged.agg.flush_all();
+  EXPECT_EQ(logged.flushes, (FlushLog{{2, Reason::kSize},
+                                      {1, Reason::kSize},
+                                      {1, Reason::kFinal}}));
+  EXPECT_TRUE(logged.agg.empty());
+}
+
+TEST(AggregatorTest, WindowStallFlushesEveryOutstandingParcel) {
+  LoggedAggregator logged(8192, 1'000'000'000);
+  // Three credits outstanding: the third buffered parcel holds all of them.
+  EXPECT_TRUE(logged.offer(8, 3));
+  EXPECT_TRUE(logged.offer(8, 3));
+  EXPECT_TRUE(logged.flushes.empty());
+  EXPECT_TRUE(logged.offer(8, 3));
+  EXPECT_EQ(logged.flushes, (FlushLog{{3, Reason::kStall}}));
+}
+
+TEST(AggregatorTest, AgeFlushFiresAtTheDeadlineAndNotBefore) {
+  constexpr common::Nanos kAge = 50'000;
+  LoggedAggregator logged(8192, kAge);
+  const common::Nanos before = common::now_ns();
+  EXPECT_TRUE(logged.offer(8));
+  EXPECT_TRUE(logged.offer(8));
+  const common::Nanos after = common::now_ns();
+  // The oldest entry was stamped in [before, after].
+  EXPECT_FALSE(logged.agg.poll(before + kAge - 1));
+  EXPECT_TRUE(logged.flushes.empty());
+  EXPECT_TRUE(logged.agg.poll(after + kAge));
+  EXPECT_EQ(logged.flushes, (FlushLog{{2, Reason::kAge}}));
+  EXPECT_FALSE(logged.agg.poll(after + 2 * kAge));  // nothing left
+}
+
+TEST(AggregatorTest, EvictionChurnFromThreeThreadsDeliversEachParcelOnce) {
+  // TSan target. A 40 B cap holds one 8 B parcel (32 B frame), so every
+  // enqueue onto a non-empty buffer evicts its occupant, and the flushes
+  // run outside the lock on whichever thread tipped the buffer, racing
+  // idle flushes from the other senders.
+  constexpr std::uint32_t kThreads = 3;
+  constexpr std::uint32_t kPerThread = 2000;
+  std::vector<std::atomic<int>> seen(kThreads * kPerThread);
+  std::atomic<std::uint32_t> done_calls{0};
+  Aggregator agg(2, /*max_bytes=*/40, /*age_ns=*/1'000'000'000,
+                 [&](amt::Rank, std::vector<Aggregator::Entry>&& batch,
+                     Reason) {
+                   for (auto& entry : batch) {
+                     std::uint32_t id = 0;
+                     std::memcpy(&id, entry.msg.main_chunk.data(), sizeof(id));
+                     seen[id].fetch_add(1, std::memory_order_relaxed);
+                     entry.done();
+                   }
+                 });
+  std::vector<std::thread> senders;
+  for (std::uint32_t t = 0; t < kThreads; ++t) {
+    senders.emplace_back([&, t] {
+      for (std::uint32_t i = 0; i < kPerThread; ++i) {
+        OutMessage msg = agg_parcel(8, t * kPerThread + i);
+        common::UniqueFunction<void()> done = [&done_calls] {
+          done_calls.fetch_add(1, std::memory_order_relaxed);
+        };
+        EXPECT_TRUE(agg.enqueue(1, /*queue_depth=*/100, msg, done));
+        if (i % 16 == 0) agg.flush_idle();
       }
     });
   }
-  constexpr int kTotal = kSenders * kPerSender;
-  ASSERT_TRUE(testutil::spin_until(
-      [&] { return actions::ping_count.load() == kTotal; },
-      std::chrono::milliseconds(20000)));
-  runtime.stop();
+  for (auto& sender : senders) sender.join();
+  agg.flush_all();
+  EXPECT_TRUE(agg.empty());
+  EXPECT_EQ(done_calls.load(), kThreads * kPerThread);
+  for (std::size_t id = 0; id < seen.size(); ++id) {
+    ASSERT_EQ(seen[id].load(), 1) << "parcel " << id;
+  }
 }

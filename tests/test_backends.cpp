@@ -283,8 +283,8 @@ TEST_P(BackendConformance, RoundTripsZeroCopyAndFloodDeliverExactly) {
 INSTANTIATE_TEST_SUITE_P(
     SimAndShm, BackendConformance,
     ::testing::ValuesIn(std::vector<conformance::Param>{
-        // Both backends x {all 8 LCI variants, fastpath, aggregation, MPI}.
-        // The sim rows guard against the sweep itself regressing; the shm
+        // Both backends x {all 8 LCI variants (fast path on), aggregation,
+        // MPI}. The sim rows guard against the sweep itself regressing; the shm
         // rows are the acceptance matrix for the real-memory backend.
         {"sim", "lci_psr_cq_pin_i"},
         {"shm", "lci_psr_cq_pin_i"},
@@ -295,10 +295,8 @@ INSTANTIATE_TEST_SUITE_P(
         {"shm", "lci_sr_cq_mt_i"},
         {"shm", "lci_sr_sy_pin_i"},
         {"shm", "lci_sr_sy_mt_i"},
-        {"sim", "lci_psr_cq_pin_fp_i"},
-        {"shm", "lci_psr_cq_pin_fp_i"},
-        {"sim", "lci_psr_cq_mt_fp_agg2048_i_block16"},
-        {"shm", "lci_psr_cq_mt_fp_agg2048_i_block16"},
+        {"sim", "lci_psr_cq_mt_agg_i_block16"},
+        {"shm", "lci_psr_cq_mt_agg_i_block16"},
         {"sim", "mpi_i"},
         {"shm", "mpi_i"},
     }),

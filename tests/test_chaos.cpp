@@ -218,20 +218,18 @@ TEST_P(ChaosSweep, AllParcelsDeliveredIntactUnderEveryMix) {
 INSTANTIATE_TEST_SUITE_P(
     AllTransports, ChaosSweep,
     ::testing::Values(
-        // All 8 LCI variant combinations.
+        // All 8 LCI variant combinations, small-parcel fast path on (the
+        // default): drop/dup/corrupt land on single-parcel frames too, and
+        // the seq dedup must never let a duplicated frame dispatch a parcel
+        // twice (the exact-sum check above catches any double dispatch).
         "lci_psr_cq_pin_i", "lci_psr_cq_mt_i", "lci_psr_sy_pin_i",
         "lci_psr_sy_mt_i", "lci_sr_cq_pin_i", "lci_sr_cq_mt_i",
         "lci_sr_sy_pin_i", "lci_sr_sy_mt_i",
-        // Small-parcel fast path pinned on: drop/dup/corrupt must land on
-        // single-parcel frames too, and the seq dedup must never let a
-        // duplicated frame dispatch a parcel twice (the exact-sum check
-        // above catches any double dispatch).
-        "lci_psr_cq_mt_fp_i",
         // Adaptive aggregation under a blocking admission window: faults
         // must land on multi-parcel batch frames too — dropping one loses
         // (and retransmits) several parcels at once, and a duplicated batch
         // must not re-dispatch any of its sub-parcels.
-        "lci_psr_cq_mt_fp_agg1024_aggt100_i_block32",
+        "lci_psr_cq_mt_agg_i_block32",
         // The MPI parcelport.
         "mpi_i"),
     [](const ::testing::TestParamInfo<const char*>& info) {

@@ -380,8 +380,8 @@ TEST(Render, CommittedDocsCarryTheMarkers) {
 // ---- knob registry vs the tree --------------------------------------------
 
 /// Every "AMTNET_[A-Z0-9_]+" string literal in the sources under src/,
-/// bench/, tools/ and tests/ — getenv/setenv calls and the env_size/env_u64/
-/// env_double helpers alike — except the knob registry's own table.
+/// bench/, tools/ and tests/ (getenv and setenv calls alike), except the
+/// knob registry's own table.
 std::set<std::string> environment_names_in_tree() {
   const std::string root = AMTNET_REPO_ROOT;
   const std::filesystem::path registry_file =

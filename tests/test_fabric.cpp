@@ -598,6 +598,44 @@ TEST(ReliableEndpoint, DropsCorruptDatagramsAndRecovers) {
   EXPECT_GT(snap.counter("reliable/test1/crc_dropped"), 0u);
 }
 
+TEST(ReliableEndpoint, RetransmitBehindThousandsOfLaterArrivalsIsDelivered) {
+  // Under a fast flood a dropped datagram's retransmit (exponential
+  // backoff) can land after thousands of later datagrams. The receiver must
+  // deliver it: a sequence gap is a datagram still in flight, not a number
+  // it may presume delivered. The flood runs with no sender progress, so
+  // no retransmit fires until every first attempt has landed or dropped.
+  fabric::Config config = chaos_config(2);
+  config.faults.drop = 0.01;
+  config.faults.seed = 44;
+  ReliablePair pair(config);
+  const auto drain = [&] {
+    pair.fabric.nic(1).poll_rx(64, [&](RxEvent&& event) {
+      if (pair.rx.on_recv(event)) pair.received.push_back(event.imm);
+    });
+    pair.fabric.nic(0).poll_rx(64, [&](RxEvent&& event) {
+      EXPECT_FALSE(pair.tx.on_recv(event));
+    });
+  };
+  constexpr std::uint64_t kCount = 6000;
+  for (std::uint64_t i = 0; i < kCount; ++i) {
+    const auto data = testutil::make_pattern(i, 32);
+    while (pair.tx.send(1, data.data(), data.size(), i) !=
+           common::Status::kOk) {
+      drain();
+    }
+  }
+  for (int i = 0; i < 1000; ++i) drain();
+  ASSERT_GT(kCount - pair.received.size(), 0u) << "no first attempt dropped";
+  ASSERT_TRUE(testutil::pump_until(
+      [&] { return pair.received.size() >= kCount && pair.tx.pending() == 0; },
+      [&] { pair.pump(); }, std::chrono::milliseconds(20000)))
+      << "delivered " << pair.received.size() << " of " << kCount;
+  const std::set<std::uint64_t> unique(pair.received.begin(),
+                                       pair.received.end());
+  EXPECT_EQ(pair.received.size(), kCount);
+  EXPECT_EQ(unique.size(), kCount);
+}
+
 TEST(ReliableEndpoint, RefusesOversizedDatagramWithoutWrapping) {
   fabric::Config config = chaos_config(2);
   config.faults.integrity = true;

@@ -81,7 +81,8 @@ TEST(WireHeader, EncodeDecodeRoundTrip) {
   EXPECT_EQ(decoded.piggy_main.size(), 64u);
   ASSERT_TRUE(decoded.fields.piggy_tchunk);
   const auto sizes = amt::parse_tchunk(decoded.piggy_tchunk.data(),
-                                       decoded.piggy_tchunk.size());
+                                       decoded.piggy_tchunk.size(),
+                                       decoded.fields.num_zchunks);
   ASSERT_EQ(sizes.size(), 1u);
   EXPECT_EQ(sizes[0], 9000u);
 }
@@ -205,13 +206,13 @@ TEST(BatchFrame, MainOnlyOneParcelFrameIsHeaderPlusPayload) {
   EXPECT_TRUE(in[0].zchunks.empty());
 }
 
-TEST(BatchFrame, MinimalOneParcelFrameMatchesTheParseFloor) {
-  // The agg<BYTES> parse floor is exactly the smallest encodable frame: a
-  // zero-payload single parcel. If the layout grows, the constant (and the
-  // config error message) must follow.
+TEST(BatchFrame, MinimalOneParcelFrameIsTheEnvelope) {
+  // The smallest encodable frame, a zero-payload single parcel, is the
+  // header plus one empty entry record.
   const auto msg = make_msg(0, {});
   const amt::OutMessage* msgs[] = {&msg};
-  EXPECT_EQ(amt::frame_size(msgs, 1), amt::kMinAggFrameBytes);
+  EXPECT_EQ(amt::frame_size(msgs, 1),
+            sizeof(amt::BatchHeader) + amt::kBatchEntryHeaderBytes);
 }
 
 TEST(BatchFrameDeathTest, CorruptedPayloadFailsFast) {
@@ -526,12 +527,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------- small-parcel fast path, end to end ----------------
 
-// Every LCI variant combination with the fast path pinned on, over a 4-rail
-// reordering fabric: small parcels ride single-parcel frames (medium
-// sends under sr, dynamic puts under psr) while oversized ones must fall
-// back to the header + follow-up path mid-stream with no cross-talk. The
-// fp512 and fpoff rows are regression configs for the cap-tuning and
-// kill-switch tokens.
+// Every LCI variant combination with the fast path on (the default), over a
+// 4-rail reordering fabric: small parcels ride single-parcel frames (medium
+// sends under sr, dynamic puts under psr) while parcels above the eager
+// threshold must fall back to the header + follow-up path mid-stream with
+// no cross-talk. The fpoff row is the regression config for the kill
+// switch.
 class LciFastpathE2E : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(LciFastpathE2E, MixedSizeTrafficAcrossReorderingFabric) {
@@ -581,12 +582,12 @@ TEST_P(LciFastpathE2E, MixedSizeTrafficAcrossReorderingFabric) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllLciVariants, LciFastpathE2E,
-    ::testing::Values("lci_psr_cq_pin_fp_i", "lci_psr_cq_mt_fp_i",
-                      "lci_psr_sy_pin_fp_i", "lci_psr_sy_mt_fp_i",
-                      "lci_sr_cq_pin_fp_i", "lci_sr_cq_mt_fp_i",
-                      "lci_sr_sy_pin_fp_i", "lci_sr_sy_mt_fp_i",
-                      // regression rows: a tuned byte cap and the kill switch
-                      "lci_psr_cq_mt_fp512_i", "lci_sr_sy_mt_fpoff_i"),
+    ::testing::Values("lci_psr_cq_pin_i", "lci_psr_cq_mt_i",
+                      "lci_psr_sy_pin_i", "lci_psr_sy_mt_i",
+                      "lci_sr_cq_pin_i", "lci_sr_cq_mt_i",
+                      "lci_sr_sy_pin_i", "lci_sr_sy_mt_i",
+                      // regression row: the kill switch
+                      "lci_sr_sy_mt_fpoff_i"),
     [](const ::testing::TestParamInfo<const char*>& info) {
       return std::string(info.param);
     });
@@ -598,7 +599,7 @@ INSTANTIATE_TEST_SUITE_P(
 // over a 4-rail reordering fabric. Small floods in both directions coalesce
 // into batch frames while zchunk-heavy round trips ride the fallback path
 // mid-stream; the exact sums catch any lost, duplicated, or misrouted
-// sub-parcel. The row without agg<N> pins the default (aggregation off) to
+// sub-parcel. The row without agg pins the default (aggregation off) to
 // the bit-identical non-batching behaviour under the same window.
 class LciAggregationE2E : public ::testing::TestWithParam<const char*> {};
 
@@ -645,19 +646,18 @@ TEST_P(LciAggregationE2E, BackpressuredMixedTrafficDeliversExactly) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllLciVariants, LciAggregationE2E,
-    ::testing::Values("lci_psr_cq_pin_fp_agg2048_i_block16",
-                      "lci_psr_cq_mt_fp_agg2048_i_block16",
-                      "lci_psr_sy_pin_fp_agg2048_i_block16",
-                      "lci_psr_sy_mt_fp_agg2048_i_block16",
-                      "lci_sr_cq_pin_fp_agg2048_i_block16",
-                      "lci_sr_cq_mt_fp_agg2048_i_block16",
-                      "lci_sr_sy_pin_fp_agg2048_i_block16",
-                      "lci_sr_sy_mt_fp_agg2048_i_block16",
-                      // regression rows: a tight age deadline, a small cap
-                      // that evicts constantly, and aggregation off
-                      "lci_psr_cq_mt_fp_agg1024_aggt50_i_block8",
-                      "lci_psr_cq_mt_fp_agg128_aggt100_i_block16",
-                      "lci_psr_cq_mt_fp_i_block16"),
+    ::testing::Values("lci_psr_cq_pin_agg_i_block16",
+                      "lci_psr_cq_mt_agg_i_block16",
+                      "lci_psr_sy_pin_agg_i_block16",
+                      "lci_psr_sy_mt_agg_i_block16",
+                      "lci_sr_cq_pin_agg_i_block16",
+                      "lci_sr_cq_mt_agg_i_block16",
+                      "lci_sr_sy_pin_agg_i_block16",
+                      "lci_sr_sy_mt_agg_i_block16",
+                      // regression rows: a tighter window, and aggregation
+                      // off (small caps and ages: AggregatorTest)
+                      "lci_psr_cq_mt_agg_i_block8",
+                      "lci_psr_cq_mt_i_block16"),
     [](const ::testing::TestParamInfo<const char*>& info) {
       return std::string(info.param);
     });
@@ -669,7 +669,7 @@ TEST(LciAggregation, BackpressuredFloodActuallyBatches) {
   // parcels into batch frames, and the flush-trigger counters must account
   // for every flush.
   StackOptions options;
-  options.parcelport = "lci_psr_cq_mt_fp_agg2048_aggt100_i_block8";
+  options.parcelport = "lci_psr_cq_mt_agg_i_block8";
   options.num_localities = 2;
   options.threads_per_locality = 2;
   options.platform = "loopback";
@@ -716,7 +716,7 @@ TEST(LciFastpathThreshold, Fig7StraddlePayloadsLandOnOppositeSides) {
   // payload 8147 must fall back. If the envelope or frame layout ever
   // changes size, this pins the drift so the bench comment gets fixed too.
   StackOptions options;
-  options.parcelport = "lci_psr_cq_mt_fp_i";
+  options.parcelport = "lci_psr_cq_mt_i";
   options.num_localities = 2;
   options.threads_per_locality = 2;
   options.platform = "loopback";
@@ -857,7 +857,7 @@ TEST(LciPipeline, FastpathSendsBypassConnectionsAndSyncs) {
   // ReceiverConnection or a synchronizer at all: every pool counter stays
   // frozen while the fastpath hit counter accounts for each parcel.
   StackOptions options;
-  options.parcelport = "lci_psr_sy_mt_fp_i";
+  options.parcelport = "lci_psr_sy_mt_i";
   options.num_localities = 2;
   options.threads_per_locality = 2;
   auto runtime = amtnet::make_runtime(options);
@@ -1122,6 +1122,51 @@ TEST(WireHeaderDeathTest, WrappingMainSizeFailsFast) {
   repatch_crc(wire, offsetof(amt::WireHeader, crc));
   EXPECT_DEATH(amt::decode_header(wire.data(), wire.size()),
                "wire header main chunk overruns message");
+}
+
+TEST(WireHeaderDeathTest, OversizedMainSizeFailsFast) {
+  // A CRC-valid header declaring a follow-up main chunk above
+  // kMaxPieceBytes is rejected at decode, before either parcelport sizes a
+  // receive buffer from it.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto msg = make_msg(16, {});
+  const auto plan = amt::HeaderPlan::decide(msg, 8192);
+  std::vector<std::byte> wire;
+  amt::encode_header(msg, plan, 5, /*seq=*/0, wire);
+  const std::uint8_t not_piggybacked = 0;
+  std::memcpy(wire.data() + offsetof(amt::WireHeader, piggy_main),
+              &not_piggybacked, sizeof(not_piggybacked));
+  const std::uint64_t oversized = amt::kMaxPieceBytes + 1;
+  std::memcpy(wire.data() + offsetof(amt::WireHeader, main_size), &oversized,
+              sizeof(oversized));
+  repatch_crc(wire, offsetof(amt::WireHeader, crc));
+  EXPECT_DEATH(amt::decode_header(wire.data(), wire.size()),
+               "wire header main_size 1073741825 is above the 1073741824 "
+               "byte bound");
+}
+
+TEST(TransmissionChunkDeathTest, MoreSizesThanDeclaredFailsFast) {
+  // A non-piggybacked transmission chunk arrives as its own message, sized
+  // by the peer. One holding more sizes than the header's num_zchunks would
+  // index past the receiver's zero-copy slots.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto msg = make_msg(0, {9000, 9000, 9000});
+  const auto tchunk = msg.make_tchunk();
+  EXPECT_DEATH(amt::parse_tchunk(tchunk.data(), tchunk.size(), 2),
+               "transmission chunk of 24 bytes does not hold the 2 zero-copy "
+               "chunk sizes");
+}
+
+TEST(TransmissionChunkDeathTest, OversizedZeroCopyChunkFailsFast) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto msg = make_msg(0, {9000, 9000});
+  auto tchunk = msg.make_tchunk();
+  const std::uint64_t oversized = amt::kMaxPieceBytes + 1;
+  std::memcpy(tchunk.data() + sizeof(std::uint64_t), &oversized,
+              sizeof(oversized));
+  EXPECT_DEATH(amt::parse_tchunk(tchunk.data(), tchunk.size(), 2),
+               "zero-copy chunk 1 declares 1073741825 bytes, above the "
+               "1073741824 byte bound");
 }
 
 TEST(HeaderSeqTracker, AcceptsMonotonicRejectsDuplicates) {
