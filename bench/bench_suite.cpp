@@ -17,9 +17,15 @@
 //       and docs/tuning.md from the registry, the knob registry and the
 //       recorded results. --dry-run writes nothing and exits 1 if any file
 //       would change (the CI docs-freshness gate).
+//   bench_suite --spmd-rate [N]
+//       The multi-process scaling probe: an 8 B pair flood of N parcels per
+//       pair (default 20000). Under `amtnet_launch -n 4` each process runs
+//       its rank's role over shm; run directly, the same four ranks are sim
+//       localities of this process. Each sender prints one rate row.
 //
 // Shared flags: --repo-root <dir> (default "."), --results-dir,
-// --baseline-dir.
+// --baseline-dir. With AMTNET_TRACE_FILE set, --run, --check and
+// --spmd-rate write a Chrome trace of every run to that file.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,7 +39,9 @@
 #include "expdriver/registry.hpp"
 #include "expdriver/render.hpp"
 #include "expdriver/results.hpp"
+#include "harness.hpp"
 #include "suites.hpp"
+#include "telemetry/trace.hpp"
 
 namespace {
 
@@ -42,7 +50,7 @@ using expdriver::SuiteResult;
 using expdriver::SuiteSpec;
 
 struct Options {
-  std::string mode;           // list | run | check | render
+  std::string mode;           // list | run | check | render | spmd
   std::string target;         // suite name | "all" | "smoke"
   std::string repo_root = ".";
   std::string results_dir;    // default <repo_root>/bench/results
@@ -50,6 +58,7 @@ struct Options {
   double tolerance_scale = 1.0;
   bool use_results = false;   // --check: reuse recorded results, don't re-run
   bool dry_run = false;       // --render: report-only
+  std::size_t spmd_msgs = 20000;  // --spmd-rate: parcels per pair
 };
 
 void usage(std::FILE* out) {
@@ -60,8 +69,33 @@ void usage(std::FILE* out) {
       "       bench_suite --check [suite|smoke|all] [--baseline-dir D]\n"
       "                   [--tolerance-scale X] [--use-results]\n"
       "       bench_suite --render [--dry-run]\n"
+      "       bench_suite --spmd-rate [N]\n"
       "shared: --repo-root <dir> (default .)\n"
-      "env:    AMTNET_BENCH_SCALE/RUNS/WARMUP/WORKERS scale the runs\n");
+      "env:    AMTNET_BENCH_SCALE/RUNS/WARMUP/WORKERS scale the runs;\n"
+      "        AMTNET_TRACE_FILE=<path> writes a Chrome trace of them\n");
+}
+
+/// AMTNET_TRACE_FILE switches the process trace recorder on
+/// (telemetry/trace.hpp); this writes what the runs recorded to that file,
+/// suffixed `.rank<r>` in a rank of an amtnet_launch run.
+void write_trace() {
+  std::string path = telemetry::TraceRecorder::env_trace_file();
+  if (path.empty()) return;
+  if (const char* rank = std::getenv("AMTNET_SHM_RANK")) {
+    path += std::string(".rank") + rank;
+  }
+  telemetry::TraceRecorder& tracer = telemetry::TraceRecorder::instance();
+  if (!tracer.enabled()) {
+    std::printf("# AMTNET_TELEMETRY=0: no trace recorded, %s not written\n",
+                path.c_str());
+  } else if (tracer.dump_json_to_file(path)) {
+    std::printf("# chrome trace written to %s (%llu events dropped)\n",
+                path.c_str(),
+                static_cast<unsigned long long>(tracer.dropped()));
+  } else {
+    std::fprintf(stderr, "failed to write chrome trace to %s\n",
+                 path.c_str());
+  }
 }
 
 std::vector<const SuiteSpec*> select_suites(const std::string& target) {
@@ -302,6 +336,12 @@ int main(int argc, char** argv) {
       }
     } else if (std::strcmp(arg, "--render") == 0) {
       options.mode = "render";
+    } else if (std::strcmp(arg, "--spmd-rate") == 0) {
+      options.mode = "spmd";
+      if (i + 1 < argc && argv[i + 1][0] != '-') {
+        const auto msgs = std::strtoull(argv[++i], nullptr, 10);
+        if (msgs > 0) options.spmd_msgs = static_cast<std::size_t>(msgs);
+      }
     } else if (std::strcmp(arg, "--dry-run") == 0) {
       options.dry_run = true;
     } else if (std::strcmp(arg, "--use-results") == 0) {
@@ -337,7 +377,11 @@ int main(int argc, char** argv) {
 
   bench::suites::register_all();
   if (options.mode == "list") return do_list();
-  if (options.mode == "run") return do_run(options);
-  if (options.mode == "check") return do_check(options);
-  return do_render(options);
+  if (options.mode == "render") return do_render(options);
+  const int status = options.mode == "run"     ? do_run(options)
+                     : options.mode == "check" ? do_check(options)
+                                               : bench::run_spmd_rate(
+                                                     options.spmd_msgs);
+  write_trace();
+  return status;
 }

@@ -1,7 +1,9 @@
 #include "harness.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <cstdlib>
 
 #include "amt/collectives.hpp"
 #include "common/clock.hpp"
@@ -28,16 +30,6 @@ void set_snapshot_sink(std::function<void(const telemetry::Snapshot&)> sink) {
 
 void capture_harness_snapshot(const amt::Runtime& runtime) {
   capture_snapshot(runtime);
-}
-
-void print_header(const char* figure, const char* expectation,
-                  const expdriver::RunEnv& env) {
-  std::printf("# %s\n", figure);
-  std::printf("# paper expectation: %s\n", expectation);
-  std::printf(
-      "# env: scale=%.2f runs=%d workers/locality=%u (set "
-      "AMTNET_BENCH_SCALE/RUNS/WORKERS to adjust)\n",
-      env.scale, env.repetitions, env.workers);
 }
 
 // ---- message rate ------------------------------------------------------
@@ -401,6 +393,179 @@ double run_collective_us(const CollBenchParams& params) {
   runtime->stop();
   return static_cast<double>(g_coll_elapsed_ns.load()) / 1e3 /
          static_cast<double>(iters);
+}
+
+// ---- SPMD pair flood (the multi-process scaling probe) --------------------
+
+namespace {
+
+// One receive counter per pair of the single-process arm (receivers 1 and
+// 3); a process under the launcher hosts a single receiver.
+std::array<std::atomic<std::uint64_t>, 2> g_spmd_received{};
+std::atomic<bool> g_spmd_ack{false};
+
+std::atomic<std::uint64_t>& spmd_counter(amt::Rank receiver) {
+  return g_spmd_received[(receiver / 2) % g_spmd_received.size()];
+}
+
+void spmd_sink(std::vector<std::uint8_t> payload) {
+  (void)payload;
+  spmd_counter(amt::here().rank()).fetch_add(1, std::memory_order_relaxed);
+}
+
+void spmd_ack() { g_spmd_ack.store(true, std::memory_order_release); }
+
+constexpr double kSpmdTimeoutS = 120.0;
+constexpr unsigned kSpmdWorkers = 2;
+
+common::Nanos deadline_after(double seconds) {
+  return common::now_ns() + static_cast<common::Nanos>(seconds * 1e9);
+}
+
+bool spin_until(const std::atomic<bool>& flag, double timeout_s) {
+  const common::Nanos deadline = deadline_after(timeout_s);
+  while (!flag.load(std::memory_order_acquire)) {
+    if (common::now_ns() > deadline) return false;
+    std::atomic_signal_fence(std::memory_order_seq_cst);
+  }
+  return true;
+}
+
+void print_spmd_row(int rank, std::size_t per_pair, double rate) {
+  std::printf("spmd_rank,%d,msgs,%zu,rate_kps,%.1f\n", rank, per_pair,
+              rate / 1e3);
+  std::fflush(stdout);
+}
+
+/// This process's role in the pair flood: even ranks send `total` 8 B
+/// parcels to rank+1 and wait for the ack; odd ranks sink `total` parcels,
+/// ack the sender, and wait for the ack-ack. Returns the sender-side rate
+/// in messages/s (0.0 for receivers), negative on timeout.
+double run_flood_role(amt::Runtime& runtime, amt::Rank rank,
+                      std::size_t total) {
+  amt::Locality& self = runtime.local_locality();
+  spmd_counter(rank).store(0);
+  g_spmd_ack.store(false);
+
+  if (rank % 2 == 0) {
+    const amt::Rank dst = rank + 1;
+    const std::vector<std::uint8_t> payload(8, 0x42);
+    const common::Nanos t0 = common::now_ns();
+    self.spawn([&, dst] {
+      amt::Locality& here = amt::here();
+      for (std::size_t i = 0; i < total; ++i) {
+        here.apply<&spmd_sink>(dst, payload);
+      }
+    });
+    if (!spin_until(g_spmd_ack, kSpmdTimeoutS)) return -1.0;
+    const double elapsed_s = common::ns_to_s(common::now_ns() - t0);
+    // Wait until the ack-ack is posted: stop() drops tasks still queued,
+    // and a lost ack-ack holds the receiver in its 10 s wait below.
+    std::atomic<bool> posted{false};
+    self.spawn([dst, &posted] {
+      amt::here().apply<&spmd_ack>(dst);
+      posted.store(true, std::memory_order_release);
+    });
+    (void)spin_until(posted, kSpmdTimeoutS);
+    return elapsed_s > 0.0 ? static_cast<double>(total) / elapsed_s : 0.0;
+  }
+
+  // Receiver: drain, ack, wait for the ack-ack so the sender's last
+  // messages are out of the rings before either side tears down.
+  const amt::Rank src = rank - 1;
+  const common::Nanos deadline = deadline_after(kSpmdTimeoutS);
+  while (spmd_counter(rank).load(std::memory_order_relaxed) < total) {
+    if (common::now_ns() > deadline) return -1.0;
+  }
+  self.spawn([src] { amt::here().apply<&spmd_ack>(src); });
+  (void)spin_until(g_spmd_ack, 10.0);  // best effort: teardown is safe anyway
+  return 0.0;
+}
+
+/// One rank of an amtnet_launch run over shm.
+int run_spmd_rank(int rank, int ranks, std::size_t per_pair) {
+  if (ranks < 2 || ranks % 2 != 0) {
+    std::fprintf(stderr, "--spmd-rate needs an even rank count, got %d\n",
+                 ranks);
+    return 2;
+  }
+  amtnet::StackOptions options;
+  options.parcelport = "lci_psr_cq_pin_i";
+  options.backend = "shm";
+  options.num_localities = static_cast<amt::Rank>(ranks);
+  options.threads_per_locality = kSpmdWorkers;
+  options.platform = "loopback";
+  auto runtime = amtnet::make_runtime(options);
+  const double rate =
+      run_flood_role(*runtime, static_cast<amt::Rank>(rank), per_pair);
+  if (rate < 0.0) {
+    std::fprintf(stderr, "rank %d: flood timed out\n", rank);
+    return 1;
+  }
+  if (rank % 2 == 0) print_spmd_row(rank, per_pair, rate);
+  runtime->stop();
+  return 0;
+}
+
+/// The same two pair floods (0 -> 1, 2 -> 3) as four sim localities of one
+/// process, with the same workers per locality; each sender's rate runs
+/// until its receiver has every parcel.
+int run_spmd_single_process(std::size_t per_pair) {
+  amtnet::StackOptions options;
+  options.parcelport = "lci_psr_cq_pin_i";
+  options.num_localities = 4;
+  options.threads_per_locality = kSpmdWorkers;
+  options.platform = "loopback";
+  auto runtime = amtnet::make_runtime(options);
+  for (auto& received : g_spmd_received) received.store(0);
+  const std::vector<std::uint8_t> payload(8, 0x42);
+  const common::Nanos t0 = common::now_ns();
+  const std::array<amt::Rank, 2> senders = {0, 2};
+  for (const amt::Rank sender : senders) {
+    runtime->locality(sender).spawn([&, sender] {
+      amt::Locality& here = amt::here();
+      for (std::size_t i = 0; i < per_pair; ++i) {
+        here.apply<&spmd_sink>(sender + 1, payload);
+      }
+    });
+  }
+  std::array<common::Nanos, 2> done_ns = {0, 0};
+  const common::Nanos deadline = deadline_after(kSpmdTimeoutS);
+  while (done_ns[0] == 0 || done_ns[1] == 0) {
+    for (std::size_t pair = 0; pair < senders.size(); ++pair) {
+      if (done_ns[pair] == 0 &&
+          spmd_counter(senders[pair] + 1).load(std::memory_order_relaxed) >=
+              per_pair) {
+        done_ns[pair] = common::now_ns();
+      }
+    }
+    if (common::now_ns() > deadline) {
+      std::fprintf(stderr, "single-process flood timed out\n");
+      return 1;
+    }
+  }
+  runtime->stop();
+  for (std::size_t pair = 0; pair < senders.size(); ++pair) {
+    const double elapsed_s = common::ns_to_s(done_ns[pair] - t0);
+    print_spmd_row(static_cast<int>(senders[pair]), per_pair,
+                   static_cast<double>(per_pair) / std::max(elapsed_s, 1e-9));
+  }
+  return 0;
+}
+
+}  // namespace
+
+int run_spmd_rate(std::size_t per_pair) {
+  const char* rank_env = std::getenv("AMTNET_SHM_RANK");
+  const char* ranks_env = std::getenv("AMTNET_SHM_RANKS");
+  // Action ids are minted on first use per process; every rank must mint
+  // them in the same order before any traffic flows.
+  (void)amt::action_id<&spmd_sink>();
+  (void)amt::action_id<&spmd_ack>();
+  if (rank_env == nullptr || ranks_env == nullptr) {
+    return run_spmd_single_process(per_pair);
+  }
+  return run_spmd_rank(std::atoi(rank_env), std::atoi(ranks_env), per_pair);
 }
 
 }  // namespace bench

@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "expdriver/experiment.hpp"
 #include "fabric/fault.hpp"
 #include "telemetry/registry.hpp"
 
@@ -136,9 +135,15 @@ struct CollBenchParams {
 /// rounds (barrier-fenced, measured on rank 0).
 double run_collective_us(const CollBenchParams& params);
 
-/// Prints the standard benchmark header: figure id, paper expectation, env.
-void print_header(const char* figure, const char* expectation,
-                  const expdriver::RunEnv& env);
+// ---- SPMD pair flood (the multi-process scaling probe) ----
+
+/// 8 B pair flood on lci_psr_cq_pin_i over loopback, 2 workers per
+/// locality: even ranks flood rank+1 with `per_pair` parcels. Under
+/// amtnet_launch (AMTNET_SHM_RANK/RANKS set) this process runs its one
+/// rank's role over shm; otherwise it runs both pairs of a 4-rank flood as
+/// sim localities of this process. Each sender prints one
+/// `spmd_rank,<r>,msgs,<n>,rate_kps,<k>` row. Returns the exit code.
+int run_spmd_rate(std::size_t per_pair);
 
 /// Installs a callback that receives the telemetry registry snapshot of each
 /// benchmark run, captured just before the runtime stops. The experiment

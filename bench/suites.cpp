@@ -1063,10 +1063,11 @@ SuiteSpec ablation_backend() {
       "stay within a small factor (target 3x) of the zero-time simulator "
       "and the 8 B eager rate within the same order of magnitude. The "
       "payoff is not single-pair speed but scaling: shm ranks live in "
-      "separate processes, so a multi-process launch (the scaling probe "
-      "of bench_ablation_backend, and amtnet_launch in general) can "
-      "use every core instead of time-slicing all localities on one "
-      "process's scheduler quantum";
+      "separate processes, so a multi-process launch (the scaling probe: "
+      "`amtnet_launch -n 4 -- bench_suite --spmd-rate` against the same "
+      "pair flood in one process, `bench_suite --spmd-rate`) can use every "
+      "core instead of time-slicing all localities on one process's "
+      "scheduler quantum";
   // Wall-clock measurements of the real machine (the shm rows especially):
   // recorded and compared by eye, never gated — a committed baseline from
   // one machine says nothing about another's memory system.
@@ -1142,6 +1143,48 @@ SuiteSpec overhead() {
   return s;
 }
 
+SuiteSpec profile() {
+  SuiteSpec s;
+  s.name = "profile";
+  s.figure = "§4/§5 profiling analyses";
+  s.title =
+      "per-layer breakdown of a 16 KiB and an 8 B flood per backend, read "
+      "from the telemetry registry";
+  s.expectation =
+      "mpi shows fewer fabric packets per parcel only because its parcel "
+      "queue aggregates; lci shows lower per-message overhead and no "
+      "connection-cache traffic with _i; under mpi the progress-lock wait "
+      "(minimpi_lock_wait_ns) is the paper's §4 smoking gun";
+  for (const std::size_t size : {std::size_t{16384}, std::size_t{8}}) {
+    for (const char* config :
+         {"mpi", "mpi_i", "lci_psr_cq_pin", "lci_psr_cq_pin_i"}) {
+      s.points.push_back(size == 8 ? rate_point(config, 8, 100, 4000, 0.0)
+                                   : rate_point(config, size, 10, 800, 0.0));
+    }
+  }
+  s.probes = {
+      // Aggregation ratio: parcels vs HPX messages on the sending locality.
+      {"parcels_sent", "amt/loc0/parcels_sent", ""},
+      {"messages_sent", "amt/loc0/messages_sent", ""},
+      // Protocol overhead and back-pressure at the fabric, both NICs.
+      {"packets_sent", "fabric/", "/packets_sent"},
+      {"bytes_sent", "fabric/", "/bytes_sent"},
+      {"tx_window_rejects", "fabric/", "/tx_window_rejects"},
+      {"rnr_stalls", "fabric/", "/rnr_stalls"},
+      {"conncache_failures", "amt/loc0/conncache_failures", ""},
+      // Runtime overhead: tasks per delivered message.
+      {"tasks_executed", "sched/", "/tasks_executed"},
+      {"tasks_stolen", "sched/", "/tasks_stolen"},
+      // Sampled latency histograms of the sending side (ns).
+      {"serialize_ns", "amt/loc0/serialize_ns", "", true},
+      {"pplci_send_ns", "pplci/loc0/send_ns", "", true},
+      {"ppmpi_send_ns", "ppmpi/loc0/send_ns", "", true},
+      {"minilci_progress_ns", "minilci/dev0/progress_ns", "", true},
+      {"minimpi_lock_wait_ns", "minimpi/comm0/progress_lock_wait_ns", "",
+       true}};
+  return s;
+}
+
 }  // namespace
 
 void register_all() {
@@ -1171,6 +1214,7 @@ void register_all() {
     registry.add(fft());
     registry.add(chaos());
     registry.add(overhead());
+    registry.add(profile());
     return true;
   }();
   (void)registered;
@@ -1287,6 +1331,16 @@ expdriver::PointRunner make_harness_runner(const SuiteSpec& spec) {
     if (!probes.empty()) {
       bench::set_snapshot_sink(nullptr);
       for (const auto& probe : probes) {
+        if (probe.histogram) {
+          const telemetry::HistogramSummary* h =
+              have_snapshot ? snapshot.histogram(probe.prefix) : nullptr;
+          const bool any = h != nullptr && h->count > 0;
+          sample.push_back({probe.metric + "_p50",
+                            any ? static_cast<double>(h->p50) : 0.0});
+          sample.push_back({probe.metric + "_p99",
+                            any ? static_cast<double>(h->p99) : 0.0});
+          continue;
+        }
         sample.push_back(
             {probe.metric,
              have_snapshot ? static_cast<double>(snapshot.counter_sum(

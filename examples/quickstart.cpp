@@ -4,6 +4,7 @@
 // parcelport (the paper's default lci_psr_cq_pin_i), registers a couple of
 // actions, and shows the three core idioms: fire-and-forget apply<>, async<>
 // with a future result, and a large argument travelling the zero-copy path.
+// Exits 1 if either result is wrong.
 //
 // Usage: quickstart [parcelport=lci_psr_cq_pin_i] [localities=2]
 #include <cstdio>
@@ -41,6 +42,7 @@ int main(int argc, char** argv) {
               options.num_localities);
 
   auto runtime = amtnet::make_runtime(options);
+  bool ok = false;
 
   runtime->run_on_root([&] {
     amt::Locality& here = amt::here();
@@ -50,17 +52,20 @@ int main(int argc, char** argv) {
 
     // 2. Async with result: a future that a waiting task can get().
     auto sum = here.async<&add>(1, 40, 2);
-    std::printf("40 + 2 computed on locality 1 = %d\n", sum.get());
+    const int sum_value = sum.get();
+    std::printf("40 + 2 computed on locality 1 = %d\n", sum_value);
 
     // 3. Large argument: 8192 doubles (64 KiB) exceed the zero-copy
     //    serialization threshold (8 KiB), so the vector travels as a
     //    zero-copy chunk after the header message.
     std::vector<double> data(8192, 0.5);
     auto result = here.async<&norm2>(1, std::move(data));
-    std::printf("norm2 of 64 KiB vector = %.1f\n", result.get());
+    const double norm = result.get();  // 8192 * 0.25, exact in binary
+    std::printf("norm2 of 64 KiB vector = %.1f\n", norm);
+    ok = sum_value == 42 && norm == 2048.0;
   });
 
   runtime->stop();
-  std::printf("done.\n");
-  return 0;
+  std::printf("%s\n", ok ? "done." : "FAILED: wrong result");
+  return ok ? 0 : 1;
 }

@@ -10,6 +10,7 @@
 //                     [cells=4096] [steps=200]
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -24,12 +25,15 @@ struct Slab {
   std::vector<double> u;  // my cells
   // Ghost values per side, double-buffered by step parity: a neighbour can
   // run at most one step ahead (its step s+1 needs our step s boundary), so
-  // two slots suffice. seq_* counts arrivals per side; the value for step s
-  // is readable once seq >= s + 1 and lives in slot s % 2.
-  double ghost_left[2] = {0.0, 0.0};
-  double ghost_right[2] = {0.0, 0.0};
-  std::atomic<std::uint64_t> seq_left{0};
-  std::atomic<std::uint64_t> seq_right{0};
+  // two slots suffice. Two ghost actions from one neighbour may execute in
+  // either order, so each slot is stamped with the step whose value it
+  // holds: the value for step s is readable once slot s % 2 reads step s.
+  struct Side {
+    double value[2] = {0.0, 0.0};
+    std::atomic<std::int64_t> step[2] = {-1, -1};
+  };
+  Side left;
+  Side right;
 };
 
 Slab slabs[64];
@@ -37,13 +41,9 @@ std::atomic<int> finished_localities{0};
 
 void recv_ghost(std::uint32_t step, std::uint8_t from_left, double value) {
   Slab& slab = slabs[amt::here().rank()];
-  if (from_left) {
-    slab.ghost_left[step % 2] = value;
-    slab.seq_left.fetch_add(1, std::memory_order_release);
-  } else {
-    slab.ghost_right[step % 2] = value;
-    slab.seq_right.fetch_add(1, std::memory_order_release);
-  }
+  Slab::Side& side = from_left ? slab.left : slab.right;
+  side.value[step % 2] = value;
+  side.step[step % 2].store(step, std::memory_order_release);
 }
 
 void signal_done() { finished_localities.fetch_add(1); }
@@ -65,15 +65,14 @@ void run_slab(std::uint32_t steps) {
                               slab.u.back());
     }
     here.scheduler().wait_until([&] {
-      const std::uint64_t want = step + 1;
-      return (rank == 0 ||
-              slab.seq_left.load(std::memory_order_acquire) >= want) &&
-             (rank + 1 == nloc ||
-              slab.seq_right.load(std::memory_order_acquire) >= want);
+      return (rank == 0 || slab.left.step[step % 2].load(
+                               std::memory_order_acquire) == step) &&
+             (rank + 1 == nloc || slab.right.step[step % 2].load(
+                                      std::memory_order_acquire) == step);
     });
 
-    const double left = rank > 0 ? slab.ghost_left[step % 2] : 0.0;
-    const double right = rank + 1 < nloc ? slab.ghost_right[step % 2] : 0.0;
+    const double left = rank > 0 ? slab.left.value[step % 2] : 0.0;
+    const double right = rank + 1 < nloc ? slab.right.value[step % 2] : 0.0;
     std::vector<double> next(slab.u.size());
     for (std::size_t i = 0; i < slab.u.size(); ++i) {
       const double ul = i == 0 ? left : slab.u[i - 1];
@@ -133,8 +132,10 @@ int main(int argc, char** argv) {
     const std::size_t hi = cells * (r + 1) / nloc;
     slabs[r].u.assign(full.begin() + static_cast<std::ptrdiff_t>(lo),
                       full.begin() + static_cast<std::ptrdiff_t>(hi));
-    slabs[r].seq_left.store(0);
-    slabs[r].seq_right.store(0);
+    for (Slab::Side* side : {&slabs[r].left, &slabs[r].right}) {
+      side->step[0].store(-1);
+      side->step[1].store(-1);
+    }
   }
 
   finished_localities.store(0);

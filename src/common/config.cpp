@@ -108,8 +108,10 @@ const std::vector<Knob>& knob_registry() {
        "0/off/false: kill switch for timing instrumentation (no clock "
        "reads, no tracing; counters stay on)",
        "bench_suite --run overhead, run with AMTNET_TELEMETRY=0"},
-      {Kind::kEnv, "AMTNET_TRACE_FILE", "bench_profile_trace.json",
-       "where bench_profile writes its Chrome trace", "bench_profile"},
+      {Kind::kEnv, "AMTNET_TRACE_FILE", "unset (off)",
+       "path of a Chrome trace of every run: setting it turns the trace "
+       "recorder on, and bench_suite writes the file after its runs",
+       "bench_suite --run / --check / --spmd-rate"},
       {Kind::kEnv, "AMTNET_LCI_PACKET_POOL", "4096",
        "send-side packet-pool size in minilci (a pool of 1 forces fast-path "
        "pool exhaustion — the credit-conservation regression setup)",

@@ -80,13 +80,17 @@ struct MetricSpec {
   double rel_tolerance = 0.30;  // relative band, scaled by --tolerance-scale
 };
 
-/// Pulls one counter aggregate out of the post-run telemetry snapshot:
-/// counter_sum(prefix, suffix), recorded as metric `metric` (never gated —
-/// counts scale with the sweep size, not with performance).
+/// Pulls one aggregate out of the post-run telemetry snapshot, recorded but
+/// never gated (counts scale with the sweep size, and sampled percentiles
+/// are a breakdown, not a performance claim). Two forms:
+///   * counter: counter_sum(prefix, suffix), recorded as `metric`;
+///   * histogram (`histogram` set): the histogram named `prefix`, recorded
+///     as `<metric>_p50` and `<metric>_p99` (0 when it holds no sample).
 struct TelemetryProbe {
   std::string metric;
   std::string prefix;
   std::string suffix;
+  bool histogram = false;
 };
 
 /// Uniform run policy, resolved once per invocation (env + CLI).

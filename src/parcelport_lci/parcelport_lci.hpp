@@ -111,6 +111,12 @@ class LciParcelport final : public amt::Parcelport {
     next_tag_.store(value, std::memory_order_relaxed);
   }
 
+  /// Test hook: takes a packet from the device's send pool (nullopt when
+  /// it is empty), so a test can hold a small pool exhausted on purpose.
+  std::optional<minilci::PacketBuffer> take_pool_packet() {
+    return device_.try_alloc_packet();
+  }
+
  private:
   // user_context values in completion entries: either a Connection* or this
   // sentinel marking an sr-protocol header receive.

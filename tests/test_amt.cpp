@@ -12,6 +12,7 @@
 #include <memory>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -1113,25 +1114,32 @@ TEST(LciFastpathFlood, MultiThreadedSendersTsanClean) {
 }
 
 TEST(AdmissionTest, PoolExhaustedFastpathFallsBackAndConserves) {
-  // Forces packet-pool exhaustion (a one-packet pool) under a concurrent
-  // small-parcel flood: fast-path sends whose bounded alloc loop comes up
-  // empty must fall back to the connection path with exactly one fallback
-  // count and NO credit skew — pre-fix, the exhausted branch could
-  // double-count the parcel against the admission window, so `accepted ==
-  // executed` never converged. A deep block window keeps frames parked in
-  // minilci's backlog, holding the lone packet, while other senders' allocs
-  // fail.
+  // Pool exhaustion (a one-packet pool) under a concurrent small-parcel
+  // flood: fast-path sends whose bounded alloc loop comes up empty must fall
+  // back to the connection path with exactly one fallback count and NO
+  // credit skew — pre-fix, the exhausted branch could double-count the
+  // parcel against the admission window, so `accepted == executed` never
+  // converged. The test holds the pool's only packet itself until the first
+  // fallback is counted, so the senders find the pool empty in every run
+  // instead of only when they happen to overlap.
   setenv("AMTNET_LCI_PACKET_POOL", "1", 1);
   amt::RuntimeConfig config = lci_fastpath_config("lci_psr_cq_mt_i", 2, 4);
   config.parcelport.admission.window = 64;
-  // A tiny TX window under a 64-deep flood: most posts find the NIC full and
-  // park in the destination's backlog, and the parked frame holds the pool's
-  // only packet until progress injects it, across the full wire latency —
-  // so concurrent senders reliably find the pool empty.
+  // A tiny TX window under a 64-deep flood: once the packet is back, posts
+  // that find the NIC full park in the destination's backlog holding it,
+  // so later senders keep meeting an empty pool too.
   config.fabric.tx_window = 8;
   amt::Runtime runtime(config, amtnet::default_parcelport_factory());
   runtime.start();
   unsetenv("AMTNET_LCI_PACKET_POOL");
+  auto* port =
+      dynamic_cast<pplci::LciParcelport*>(runtime.locality(0).parcelport());
+  ASSERT_NE(port, nullptr);
+  std::optional<minilci::PacketBuffer> held;
+  ASSERT_TRUE(testutil::spin_until([&] {
+    held = port->take_pool_packet();
+    return held.has_value();
+  })) << "the one-packet pool's packet never came free";
   actions::ping_count.store(0);
   constexpr int kSenders = 4;
   constexpr int kPerSender = 200;
@@ -1144,30 +1152,27 @@ TEST(AdmissionTest, PoolExhaustedFastpathFallsBackAndConserves) {
       senders_done.fetch_add(1);
     });
   }
+#ifndef AMTNET_TELEMETRY_DISABLED
+  // Hand the packet back once a sender has fallen back: the connection
+  // path's header message needs a packet to make progress.
+  ASSERT_TRUE(testutil::spin_until(
+      [&] {
+        return runtime.telemetry().snapshot().counter(
+                   "pplci/loc0/fastpath_fallbacks") > 0;
+      },
+      std::chrono::milliseconds(20000)));
+#endif
+  held.reset();
   constexpr int kTotal = kSenders * kPerSender;
-  const bool converged = testutil::spin_until(
+  ASSERT_TRUE(testutil::spin_until(
       [&] {
         return senders_done.load() == kSenders &&
                actions::ping_count.load() == kTotal;
       },
-      std::chrono::milliseconds(20000));
-  if (!converged) {
-    const auto snap0 = runtime.telemetry().snapshot();
-    std::fprintf(stderr,
-                 "DEBUG senders_done=%d ping_count=%d hits=%llu fb=%llu "
-                 "outstanding_peak=%llu accepted=%llu\n",
-                 senders_done.load(), actions::ping_count.load(),
-                 (unsigned long long)snap0.counter("pplci/loc0/fastpath_hits"),
-                 (unsigned long long)snap0.counter(
-                     "pplci/loc0/fastpath_fallbacks"),
-                 (unsigned long long)runtime.locality(0)
-                     .admission_stats()
-                     .peak_queue_depth,
-                 (unsigned long long)runtime.locality(0)
-                     .admission_stats()
-                     .accepted);
-  }
-  ASSERT_TRUE(converged);
+      std::chrono::milliseconds(20000)))
+      << "senders_done=" << senders_done.load()
+      << " ping_count=" << actions::ping_count.load() << " accepted="
+      << runtime.locality(0).admission_stats().accepted;
   const auto stats = runtime.locality(0).admission_stats();
   EXPECT_EQ(stats.accepted, static_cast<std::uint64_t>(kTotal));
 #ifndef AMTNET_TELEMETRY_DISABLED

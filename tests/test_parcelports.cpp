@@ -7,6 +7,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
@@ -663,11 +664,30 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 #ifndef AMTNET_TELEMETRY_DISABLED
+namespace e2e {
+
+// Parcel 1 does not finish executing until the test lets it go.
+std::atomic<bool> hold_first{false};
+
+void held_bump(std::uint64_t amount) {
+  if (amount == 1) {
+    while (hold_first.load()) std::this_thread::yield();
+  }
+  counter.fetch_add(amount);
+}
+
+}  // namespace e2e
+
 TEST(LciAggregation, BackpressuredFloodActuallyBatches) {
   // The e2e sweep above proves delivery is exact; this pins that batching
   // *happened*: under a tight block window a one-way flood must coalesce
   // parcels into batch frames, and the flush-trigger counters must account
-  // for every flush.
+  // for every flush. The aggregator buffers a parcel only while its
+  // destination is backpressured, i.e. while earlier parcels hold their
+  // admission credits (a credit returns once its parcel has executed). So
+  // the receiver holds the first parcel's execution until a batch has
+  // left, and the flood meets backpressure in every run instead of only
+  // when the receiver happens to fall behind.
   StackOptions options;
   options.parcelport = "lci_psr_cq_mt_agg_i_block8";
   options.num_localities = 2;
@@ -675,12 +695,22 @@ TEST(LciAggregation, BackpressuredFloodActuallyBatches) {
   options.platform = "loopback";
   auto runtime = amtnet::make_runtime(options);
   e2e::counter.store(0);
+  e2e::hold_first.store(true);
   constexpr int kParcels = 600;
   runtime->locality(0).spawn([&] {
     for (int i = 1; i <= kParcels; ++i) {
-      amt::here().apply<&e2e::bump>(1, static_cast<std::uint64_t>(i));
+      amt::here().apply<&e2e::held_bump>(1, static_cast<std::uint64_t>(i));
     }
   });
+  const bool batched_while_held = testutil::spin_until(
+      [&] {
+        return runtime->telemetry().snapshot().counter(
+                   "pplci/loc0/agg_batched") > 0;
+      },
+      std::chrono::milliseconds(20000));
+  e2e::hold_first.store(false);
+  ASSERT_TRUE(batched_while_held)
+      << "nothing was batched while the first parcel held its credit";
   const std::uint64_t expected = 1ull * kParcels * (kParcels + 1) / 2;
   ASSERT_TRUE(testutil::spin_until(
       [&] { return e2e::counter.load() == expected; },
